@@ -145,9 +145,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_metric(args) -> int:
     H = mc.load_matrix(args.input)
     family, theta = _default_metric(H, args.tol)
-    positive, lam_min = mc.is_positive_definite(
-        theta, 1e-12 * max(1.0, mc.entry_norm(theta))
-    )
+    positive, lam_min = mc.positive_metric(theta)
     residual = check_quasi_hermitian(H, theta)
     report = {
         "command": "metric",
@@ -166,11 +164,7 @@ def _cmd_metric(args) -> int:
 
 
 def _load_params(path) -> list[np.ndarray]:
-    try:
-        with open(path) as fh:
-            arr = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read params file {path}: {exc}") from exc
+    arr = mc.read_json(path, "params")
     if not isinstance(arr, list):
         raise InputFormatError("params file must hold a JSON array of matrices")
     return [mc.matrix_from_json(obj) for obj in arr]
@@ -209,11 +203,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        with open(args.input) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read chain file {args.input}: {exc}") from exc
+    obj = mc.read_json(args.input, "chain")
     if isinstance(obj, dict) and "chain" in obj:
         obj = obj["chain"]          # accept whole `chain` command reports
     chain = ObservableChain.from_json(obj)

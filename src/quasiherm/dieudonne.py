@@ -29,12 +29,15 @@ from .errors import (
     DegenerateSpectrumWarning,
     DimensionMismatch,
     NonPositiveWeight,
+    QuasiHermiticityViolation,
     SpanMismatch,
     SpectralPathUnavailable,
 )
 
 #: mutual-projection residual above which the two solution paths are rejected
 SPAN_AGREEMENT_TOL = 1e-8
+#: intertwining residual above which an (operator, metric) pair is refused
+QH_GATE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,41 +68,38 @@ class MetricFamily:
         }
 
 
-def _hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of the real space of Hermitian matrices."""
-    basis = []
-    for i in range(dim):
-        E = np.zeros((dim, dim), dtype=complex)
-        E[i, i] = 1.0
-        basis.append(E)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            E = np.zeros((dim, dim), dtype=complex)
-            E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(E)
-            F = np.zeros((dim, dim), dtype=complex)
-            F[i, j] = 1j / np.sqrt(2.0)
-            F[j, i] = -1j / np.sqrt(2.0)
-            basis.append(F)
-    return basis
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """Frobenius-orthonormal basis of the real space of Hermitian matrices.
+
+    Shape ``(dim**2, dim, dim)``: the diagonal units first, then for each
+    pair i < j (row-major) the symmetric and the antisymmetric element.
+    """
+    i, j = np.triu_indices(dim, 1)
+    sym = dim + 2 * np.arange(i.size)
+    E = np.zeros((dim * dim, dim, dim), dtype=complex)
+    E[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
+    E[sym, i, j] = E[sym, j, i] = 1.0 / np.sqrt(2.0)
+    E[sym + 1, i, j] = 1j / np.sqrt(2.0)
+    E[sym + 1, j, i] = -1j / np.sqrt(2.0)
+    return E
 
 
-def _realvec(M: np.ndarray) -> np.ndarray:
-    return np.concatenate([M.real.ravel(), M.imag.ravel()])
+def _realcols(X: np.ndarray) -> np.ndarray:
+    """Stacked matrices as real columns ``(re.ravel(), im.ravel())``."""
+    flat = X.reshape(len(X), -1)
+    return np.concatenate([flat.real, flat.imag], axis=1).T
 
 
-def _span_residual(first: list[np.ndarray], second: list[np.ndarray]) -> float:
+def _span_residual(first: np.ndarray, second: np.ndarray) -> float:
     """Largest relative distance between either span and the other's projection."""
-    if not first or not second:
+    if not len(first) or not len(second):
         return np.inf
-    Q1 = np.linalg.qr(np.column_stack([_realvec(B) for B in first]))[0]
-    Q2 = np.linalg.qr(np.column_stack([_realvec(B) for B in second]))[0]
+    A, B = _realcols(first), _realcols(second)
     worst = 0.0
-    for Q, other in ((Q1, second), (Q2, first)):
-        for B in other:
-            v = _realvec(B)
-            resid = np.linalg.norm(v - Q @ (Q.T @ v)) / np.linalg.norm(v)
-            worst = max(worst, float(resid))
+    for span, other in ((A, B), (B, A)):
+        Q = np.linalg.qr(span)[0]
+        resid = np.linalg.norm(other - Q @ (Q.T @ other), axis=0)
+        worst = max(worst, float((resid / np.linalg.norm(other, axis=0)).max()))
     return worst
 
 
@@ -148,18 +148,11 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
 
     # Null-space path: represent X by dim^2 real coordinates in a Frobenius
     # orthonormal Hermitian basis and split the image into (re, im) parts.
+    # F is 2 dim^2 x dim^2, so the reduced SVD returns every right vector.
     herm = _hermitian_basis(dim)
-    cols = [_realvec(Hm.conj().T @ E - E @ Hm) for E in herm]
-    F = np.column_stack(cols)
-    _, svals, Vt = np.linalg.svd(F)
-    cut = tol * (svals[0] if svals.size else 0.0)
-    null_coords = [Vt[k] for k in range(len(herm)) if k >= svals.size or svals[k] <= cut]
-    oracle_basis = []
-    for coord in null_coords:
-        B = np.zeros((dim, dim), dtype=complex)
-        for c, E in zip(coord, herm):
-            B = B + c * E
-        oracle_basis.append(B)
+    F = _realcols(Hm.conj().T @ herm - herm @ Hm)
+    _, svals, Vt = np.linalg.svd(F, full_matrices=False)
+    oracle = np.tensordot(Vt[svals <= tol * svals[0]], herm, axes=1)
 
     degenerate = spectral.min_gap() < tol * max(scale, 1e-300)
     if degenerate:
@@ -168,32 +161,22 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
             DegenerateSpectrumWarning,
             stacklevel=2,
         )
-        return MetricFamily(
-            dim=dim,
-            basis=tuple(oracle_basis),
-            oracle_basis=tuple(oracle_basis),
-            spectral=None,
-            kappa_default=np.ones(len(oracle_basis)),
-            degenerate=True,
-            span_residual=None,
-        )
-
-    projectors = [
-        np.outer(spectral.left_vectors[:, n], spectral.left_vectors[:, n].conj())
-        for n in range(dim)
-    ]
-    residual = _span_residual(oracle_basis, projectors)
-    if residual > SPAN_AGREEMENT_TOL:
-        raise SpanMismatch(
-            f"null-space and spectral solution spans differ by {residual:.3e}"
-        )
+        basis, spectral, residual = oracle, None, None
+    else:
+        Lv = spectral.left_vectors
+        basis = Lv.T[:, :, None] * Lv.T[:, None, :].conj()      # |L_n><L_n|
+        residual = _span_residual(oracle, basis)
+        if residual > SPAN_AGREEMENT_TOL:
+            raise SpanMismatch(
+                f"null-space and spectral solution spans differ by {residual:.3e}"
+            )
     return MetricFamily(
         dim=dim,
-        basis=tuple(projectors),
-        oracle_basis=tuple(oracle_basis),
+        basis=tuple(basis),
+        oracle_basis=tuple(oracle),
         spectral=spectral,
-        kappa_default=np.ones(dim),
-        degenerate=False,
+        kappa_default=np.ones(len(basis)),
+        degenerate=degenerate,
         span_residual=residual,
     )
 
@@ -215,26 +198,32 @@ def metric_from_weights(family: MetricFamily, kappa) -> np.ndarray:
         )
     if np.any(k <= 0.0) or not np.all(np.isfinite(k)):
         raise NonPositiveWeight("all metric weights must be finite and > 0")
-    Theta = np.zeros((family.dim, family.dim), dtype=complex)
-    for kn, B in zip(k, family.basis):
-        Theta = Theta + kn * B
+    Lv = family.spectral.left_vectors
+    Theta = (Lv * k) @ Lv.conj().T
     return (Theta + Theta.conj().T) / 2.0
 
 
 def check_quasi_hermitian(L, Theta) -> float:
     """Relative residual ``||L^dagger Theta - Theta L|| / (||L|| ||Theta||)``.
 
-    Frobenius norms throughout; returns 0 for vanishing operands.  The caller
-    compares the result against its own tolerance.
+    The package's one evaluation of the intertwining relation (chain rungs
+    and PC products included); zero-safe as ``matrixcore.rel_residual``.
+    The caller compares the result against its own tolerance.
     """
     Lm = mc.as_square_matrix(L, "L")
     Tm = mc.as_square_matrix(Theta, "Theta")
     if Lm.shape != Tm.shape:
         raise DimensionMismatch(f"operator {Lm.shape} vs metric {Tm.shape}")
-    denom = mc.fro(Lm) * mc.fro(Tm)
-    if denom == 0.0:
-        return 0.0
-    return mc.fro(Lm.conj().T @ Tm - Tm @ Lm) / denom
+    return mc.rel_residual(Lm.conj().T @ Tm - Tm @ Lm, Lm, Tm)
+
+
+def require_quasi_hermitian(L, Theta, what: str) -> None:
+    """Raise QuasiHermiticityViolation when the residual exceeds ``QH_GATE``."""
+    residual = check_quasi_hermitian(L, Theta)
+    if residual > QH_GATE:
+        raise QuasiHermiticityViolation(
+            f"{what}: intertwining residual {residual:.3e} exceeds {QH_GATE:.0e}"
+        )
 
 
 def physical_inner_product(psi_a, psi_b, Theta) -> complex:

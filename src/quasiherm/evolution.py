@@ -18,17 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixcore as mc
-from .dieudonne import check_quasi_hermitian, physical_inner_product
-from .errors import (
-    BadRange,
-    DimensionMismatch,
-    NotPositiveDefinite,
-    QuasiHermiticityViolation,
-    ZeroState,
-)
-
-#: intertwining residual above which dual propagation refuses to run
-QH_GATE = 1e-10
+from .dieudonne import physical_inner_product, require_quasi_hermitian
+from .errors import BadRange, DimensionMismatch, NotPositiveDefinite, ZeroState
 
 
 @dataclass(frozen=True)
@@ -93,11 +84,7 @@ def propagate_dual(H, Theta, psi0, t: float) -> np.ndarray:
     Tm = mc.as_square_matrix(Theta, "Theta")
     if Hm.shape != Tm.shape:
         raise DimensionMismatch(f"H {Hm.shape} vs Theta {Tm.shape}")
-    residual = check_quasi_hermitian(Hm, Tm)
-    if residual > QH_GATE:
-        raise QuasiHermiticityViolation(
-            f"intertwining residual {residual:.3e} exceeds {QH_GATE:.0e}"
-        )
+    require_quasi_hermitian(Hm, Tm, "dual propagation")
     psi = mc.as_vector(psi0, Hm.shape[0], "psi0")
     return mc.mat_exp(-1j * float(t) * Hm.conj().T) @ (Tm @ psi)
 
@@ -118,17 +105,11 @@ def norm_trajectory(H, Theta, psi0, times, check: bool = True) -> TrajectoryReco
     ts = np.asarray(times, dtype=float).reshape(-1)
     if ts.size < 1 or np.any(np.diff(ts) <= 0):
         raise BadRange("times must be a nonempty strictly increasing sequence")
-    positive, lam_min = mc.is_positive_definite(
-        Tm, 1e-12 * max(1.0, mc.entry_norm(Tm))
-    )
+    positive, lam_min = mc.positive_metric(Tm)
     if not positive:
         raise NotPositiveDefinite(f"metric smallest eigenvalue {lam_min:.3e}")
     if check:
-        residual = check_quasi_hermitian(Hm, Tm)
-        if residual > QH_GATE:
-            raise QuasiHermiticityViolation(
-                f"intertwining residual {residual:.3e} exceeds {QH_GATE:.0e}"
-            )
+        require_quasi_hermitian(Hm, Tm, "norm trajectory")
 
     Hdag = Hm.conj().T
     theta_psi = Tm @ psi
@@ -143,10 +124,9 @@ def norm_trajectory(H, Theta, psi0, times, check: bool = True) -> TrajectoryReco
     norms = np.array(norms)
 
     drift = float(np.abs(norms - norms[0]).max() / abs(norms[0]))
-    worst = 0.0
-    for phi, chi in zip(states, duals):
-        denom = mc.fro(Tm) * max(np.linalg.norm(phi), 1e-300)
-        worst = max(worst, float(np.linalg.norm(chi - Tm @ phi) / denom))
+    worst = max(
+        mc.rel_residual(chi - Tm @ phi, Tm, phi) for phi, chi in zip(states, duals)
+    )
     return TrajectoryRecord(ts, states, duals, norms, drift, worst)
 
 

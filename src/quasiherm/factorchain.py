@@ -9,10 +9,16 @@ ladder
     Lambda_N = Theta,
     Lambda_{N+1} = H,
 
-and extracts the metric factors Z_k = Lambda_k Lambda_{k-1}^-1, so that
-Theta = Z_N Z_{N-1} ... Z_1 holds by construction.  The parameters then
-coincide with the suffix products M_k = Z_N ... Z_{k+1}, which is what makes
-every ladder relation an identity for Hermitian parameters.
+and the metric factors Z_k = Lambda_k Lambda_{k-1}^-1, taken in the closed
+form
+
+    Z_1 = M_1^-1 Theta,   Z_k = M_k^-1 M_{k-1}   (k = 2 ... N-1),   Z_N = M_{N-1}
+
+(Z_1 = Theta at N = 1), so that Theta = Z_N Z_{N-1} ... Z_1 holds by
+construction from the parameter inverses the ladder already needs.  The
+parameters then coincide with the suffix products M_k = Z_N ... Z_{k+1},
+which is what makes every ladder relation an identity for Hermitian
+parameters.
 
 ``verify_chain`` and ``verify_theorem1`` recompute everything from the
 factors alone, so they act as independent checks rather than restating the
@@ -32,21 +38,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrixcore as mc
-from .dieudonne import check_quasi_hermitian
+from .dieudonne import check_quasi_hermitian, require_quasi_hermitian
 from .errors import (
     DimensionMismatch,
     FactorizationMismatch,
     InputFormatError,
     NotHermitianParameter,
     NotPositiveDefinite,
-    QuasiHermiticityViolation,
     SingularMatrix,
     SingularParameter,
     WrongN,
 )
 
-#: intertwining-residual gate applied to (H, Theta) before building anything
-QH_GATE = 1e-10
 #: relative Hermitian-defect gate for operator parameters
 HERM_GATE = 1e-12
 #: relative tolerance for the factor-recomposition invariant
@@ -110,10 +113,7 @@ class ObservableChain:
 
     def factor_product(self) -> np.ndarray:
         """Recompose Z_N Z_{N-1} ... Z_1."""
-        out = np.eye(self.dim, dtype=complex)
-        for Z in self.factors:
-            out = Z @ out
-        return out
+        return self.suffix_products()[0]
 
     def suffix_products(self) -> list[np.ndarray]:
         """Suffix products S_k = Z_N ... Z_{k+1} for k = 0 ... N-1.
@@ -165,8 +165,7 @@ def _require_hermitian(M: np.ndarray, what: str) -> None:
 
 
 def _require_positive_metric(Theta: np.ndarray) -> None:
-    tol = 1e-12 * max(1.0, mc.entry_norm(Theta))
-    positive, lam_min = mc.is_positive_definite(Theta, tol)
+    positive, lam_min = mc.positive_metric(Theta)
     if not positive:
         raise NotPositiveDefinite(f"metric has smallest eigenvalue {lam_min:.3e}")
 
@@ -185,11 +184,7 @@ def lemma1_observable(M, Theta) -> np.ndarray:
     _require_hermitian(Mm, "observable parameter")
     _require_positive_metric(Tm)
     Lam = Mm @ Tm
-    residual = check_quasi_hermitian(Lam, Tm)
-    if residual > QH_GATE:
-        raise QuasiHermiticityViolation(
-            f"post-hoc check failed with residual {residual:.3e}"
-        )
+    require_quasi_hermitian(Lam, Tm, "post-hoc check of M Theta")
     return Lam
 
 
@@ -207,9 +202,10 @@ def build_chain(H, Theta, params) -> ObservableChain:
         N-1 Hermitian invertible operator parameters, deepest first (the
         parameter inverted in Lambda_1) and ending with Z_N.
 
-    The factors are derived as Z_k = Lambda_k Lambda_{k-1}^-1 rather than
-    supplied, which makes the whole consistency ladder hold by construction
-    and keeps ``verify_chain`` an independent check.
+    The factors are derived as Z_k = Lambda_k Lambda_{k-1}^-1 (in the closed
+    form of the module docstring) rather than supplied, which makes the whole
+    consistency ladder hold by construction and keeps ``verify_chain`` an
+    independent check.
     """
     Hm = mc.as_square_matrix(H, "H")
     Tm = mc.as_square_matrix(Theta, "Theta")
@@ -222,25 +218,22 @@ def build_chain(H, Theta, params) -> ObservableChain:
             raise DimensionMismatch(f"params[{i}] has shape {M.shape}")
         _require_hermitian(M, f"params[{i}]")
     _require_positive_metric(Tm)
-    qh = check_quasi_hermitian(Hm, Tm)
-    if qh > QH_GATE:
-        raise QuasiHermiticityViolation(
-            f"H fails the intertwining relation for Theta (residual {qh:.3e})"
-        )
+    require_quasi_hermitian(Hm, Tm, "H with Theta")
 
     N = len(Ms) + 1
-    observables = [np.eye(dim, dtype=complex)]
+    inverses = []
     for i, M in enumerate(Ms):
         try:
-            observables.append(mc.inverse(M) @ Tm)
+            inverses.append(mc.inverse(M))
         except SingularMatrix as exc:
             raise SingularParameter(f"params[{i}] is numerically singular") from exc
-    observables.append(Tm)
-    observables.append(Hm)
-
-    factors = []
-    for k in range(1, N + 1):
-        factors.append(observables[k] @ mc.inverse(observables[k - 1]))
+    ident = np.eye(dim, dtype=complex)
+    observables = [ident, *(Minv @ Tm for Minv in inverses), Tm, Hm]
+    factors = [
+        observables[1],
+        *(inverses[k] @ Ms[k - 1] for k in range(1, N - 1)),
+        *Ms[-1:],
+    ]
 
     chain = ObservableChain(
         N=N,
@@ -251,7 +244,7 @@ def build_chain(H, Theta, params) -> ObservableChain:
         observables=tuple(observables),
         factors=tuple(factors),
     )
-    recompose = mc.fro(chain.factor_product() - Tm) / mc.fro(Tm)
+    recompose = mc.rel_residual(chain.factor_product() - Tm, Tm)
     if recompose > RECOMPOSE_TOL:
         raise FactorizationMismatch(
             f"factor product misses the metric by {recompose:.3e}"
@@ -300,38 +293,19 @@ def verify_chain(chain: ObservableChain, tol: float) -> VerificationReport:
     N = chain.N
     factors = chain.factors
     suffixes = chain.suffix_products()
-    relations = []
-
-    product = suffixes[0]                # Z_N ... Z_1
-    num = mc.fro(chain.H.conj().T @ product - product @ chain.H)
-    relations.append(
-        _rel(_hamiltonian_label(N), num / (mc.fro(chain.H) * mc.fro(product)), tol)
-    )
-
-    for k in range(1, N):
-        S = suffixes[k]
-        Z = factors[k - 1]
-        num = mc.fro(Z.conj().T @ S - S @ Z)
-        relations.append(
-            _rel(_ladder_label(k, N), num / (mc.fro(Z) * mc.fro(S)), tol)
-        )
-
-    ZN = factors[-1]
-    relations.append(
-        _rel(_hermiticity_label(N), mc.fro(ZN - ZN.conj().T) / mc.fro(ZN), tol)
-    )
-
-    # Hermiticity cascade of the suffix products Z_N .. Z_{j+1} with
-    # j < N-1 (the j = N-1 entry is the factor Hermiticity above).
-    for j in range(N - 1):
-        S = suffixes[j]
-        relations.append(
-            _rel(
-                f"herm[Z{N}..Z{j + 1}]",
-                mc.fro(S - S.conj().T) / mc.fro(S),
-                tol,
-            )
-        )
+    # Z_N ... Z_1 intertwines H, and rung k intertwines Z_k with Z_N ... Z_{k+1}
+    rungs = [(_hamiltonian_label(N), chain.H)] + [
+        (_ladder_label(k, N), factors[k - 1]) for k in range(1, N)
+    ]
+    relations = [
+        _rel(name, check_quasi_hermitian(L, S), tol)
+        for (name, L), S in zip(rungs, suffixes)
+    ]
+    # Hermiticity of Z_N, then of each longer suffix product Z_N ... Z_{j+1}
+    herm = [(_hermiticity_label(N), factors[-1])] + [
+        (f"herm[Z{N}..Z{j + 1}]", suffixes[j]) for j in range(N - 1)
+    ]
+    relations += [_rel(name, mc.rel_residual(S - S.conj().T, S), tol) for name, S in herm]
 
     return VerificationReport(tuple(relations), float(tol))
 
@@ -358,13 +332,13 @@ def verify_theorem1(chain: ObservableChain, tol: float) -> VerificationReport:
             _rel(f"qh[Lambda_{k}]", check_quasi_hermitian(Lam, Theta), tol)
         )
         relations.append(
-            _rel(f"product[Lambda_{k}]", mc.fro(Lam - running) / mc.fro(Lam), tol)
+            _rel(f"product[Lambda_{k}]", mc.rel_residual(Lam - running, Lam), tol)
         )
 
     for k in range(N):
         Lam = chain.observables[k]
-        num = mc.fro(Lam.conj().T @ suffixes[k] - Theta)
-        relations.append(_rel(f"metric-identity[k={k}]", num / mc.fro(Theta), tol))
+        residual = mc.rel_residual(Lam.conj().T @ suffixes[k] - Theta, Theta)
+        relations.append(_rel(f"metric-identity[k={k}]", residual, tol))
 
     return VerificationReport(tuple(relations), float(tol))
 
@@ -383,7 +357,7 @@ def n3_named_operators(chain: ObservableChain) -> tuple[np.ndarray, np.ndarray]:
     Q = mc.inverse(Z3) @ Y3
     R = mc.inverse(Y3) @ chain.Theta
     for got, want, what in ((Q, Z2, "Q"), (R, Z1, "R")):
-        drift = mc.fro(got - want) / mc.fro(want)
+        drift = mc.rel_residual(got - want, want)
         if drift > RECOMPOSE_TOL:
             raise FactorizationMismatch(f"{what} misses its factor by {drift:.3e}")
     return Q, R

@@ -12,6 +12,7 @@ so concurrent calls from independent tasks are safe.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -61,20 +62,42 @@ def entry_norm(A) -> float:
 
 
 def fro(A) -> float:
-    """Frobenius norm (the norm used for all relative residuals)."""
-    return float(np.linalg.norm(np.asarray(A)))
+    """Frobenius norm (the norm used for all relative residuals).
+
+    A norm outside (1e-140, 1e140) is recomputed on a copy scaled by the
+    power of two that brings the largest real or imaginary part into
+    [0.5, 1), so squares neither overflow nor underflow.  ``ldexp`` scales
+    the parts exactly, which a float factor ``2**e`` cannot do once it
+    overflows.
+    """
+    A = np.asarray(A)
+    norm = float(np.linalg.norm(A))
+    if 1e-140 < norm < 1e140 or not np.all(np.isfinite(A)):
+        return norm
+    e = -int(np.frexp(np.max(np.abs([A.real, A.imag]), initial=0.0))[1])
+    scaled = np.ldexp(A.real, e)
+    if np.iscomplexobj(A):
+        scaled = scaled + 1j * np.ldexp(A.imag, e)
+    return float(np.ldexp(np.linalg.norm(scaled), -e))
+
+
+def rel_residual(diff, *operands) -> float:
+    """Relative residual ``||diff|| / prod_k ||operands[k]||`` in Frobenius norms.
+
+    Zero when ``diff`` vanishes and ``inf`` when only the denominator does,
+    so a zero operand fails its relation instead of dividing by zero.
+    """
+    num = fro(diff)
+    denom = math.prod(fro(A) for A in operands)
+    if num == 0.0:
+        return 0.0
+    return np.inf if denom == 0.0 else num / denom
 
 
 def hermitian_defect(A) -> float:
     """Max-entry norm of ``A - A^dagger``; zero iff A is exactly Hermitian."""
     M = as_square_matrix(A)
     return entry_norm(M - M.conj().T)
-
-
-def is_hermitian(A, tol: float = 1e-12) -> bool:
-    """True when the Hermitian defect is within ``tol`` of the matrix scale."""
-    M = as_square_matrix(A)
-    return hermitian_defect(M) <= tol * max(1.0, entry_norm(M))
 
 
 @dataclass(frozen=True)
@@ -169,6 +192,15 @@ def is_positive_definite(A, tol: float) -> tuple[bool, float]:
     return lam_min > tol, lam_min
 
 
+def positive_metric(Theta) -> tuple[bool, float]:
+    """``is_positive_definite`` at the admissible-metric gate.
+
+    The gate is 1e-12 times ``max(1, entry_norm(Theta))``; every check of a
+    metric's positivity in the package goes through here.
+    """
+    return is_positive_definite(Theta, 1e-12 * max(1.0, entry_norm(Theta)))
+
+
 def mat_exp(A) -> np.ndarray:
     """Matrix exponential ``exp(A)``.
 
@@ -213,70 +245,63 @@ def inverse(A) -> np.ndarray:
 # Round-trips bit-exactly for every finite 64-bit float.
 # ---------------------------------------------------------------------------
 
+def _to_json(x: np.ndarray) -> dict:
+    return {
+        "dim": int(x.shape[0]),
+        "re": x.real.ravel().tolist(),
+        "im": x.imag.ravel().tolist(),
+    }
+
+
+def _from_json(obj, what: str, rank: int) -> np.ndarray:
+    """Entries of an interchange dict holding ``dim**rank`` values."""
+    try:
+        dim = int(obj["dim"])
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"bad {what} object: {exc}") from exc
+    if dim <= 0 or re.shape != (dim**rank,) or im.shape != (dim**rank,):
+        raise InputFormatError(
+            f"{what} object dim {dim} inconsistent with array lengths "
+            f"{re.size}/{im.size}"
+        )
+    return (re + 1j * im).reshape((dim,) * rank)
+
+
 def matrix_to_json(A) -> dict:
     """Serialize a square complex matrix to the shared interchange dict."""
-    M = as_square_matrix(A)
-    return {
-        "dim": int(M.shape[0]),
-        "re": [float(x) for x in M.real.ravel()],
-        "im": [float(x) for x in M.imag.ravel()],
-    }
+    return _to_json(as_square_matrix(A))
 
 
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the shared interchange dict back into a complex matrix."""
-    try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad matrix object: {exc}") from exc
-    if dim <= 0 or re.shape != (dim * dim,) or im.shape != (dim * dim,):
-        raise InputFormatError(
-            f"matrix object dim {dim} inconsistent with array lengths "
-            f"{re.size}/{im.size}"
-        )
-    M = (re + 1j * im).reshape(dim, dim)
-    return as_square_matrix(M)
+    return as_square_matrix(_from_json(obj, "matrix", 2))
 
 
 def vector_to_json(v) -> dict:
     """Serialize a complex vector ({"dim": n, "re": [...], "im": [...]})."""
-    x = as_vector(v)
-    return {
-        "dim": int(x.shape[0]),
-        "re": [float(t) for t in x.real],
-        "im": [float(t) for t in x.imag],
-    }
+    return _to_json(as_vector(v))
 
 
 def vector_from_json(obj) -> np.ndarray:
+    return as_vector(_from_json(obj, "vector", 1))
+
+
+def read_json(path, what: str):
+    """Parse a JSON file, mapping I/O and syntax errors to InputFormatError."""
     try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad vector object: {exc}") from exc
-    if dim <= 0 or re.shape != (dim,) or im.shape != (dim,):
-        raise InputFormatError("vector object dim inconsistent with array lengths")
-    return as_vector(re + 1j * im)
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputFormatError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a matrix interchange JSON file."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read matrix file {path}: {exc}") from exc
-    return matrix_from_json(obj)
+    return matrix_from_json(read_json(path, "matrix"))
 
 
 def load_vector(path) -> np.ndarray:
     """Read a vector interchange JSON file."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read vector file {path}: {exc}") from exc
-    return vector_from_json(obj)
+    return vector_from_json(read_json(path, "vector"))

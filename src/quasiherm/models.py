@@ -239,7 +239,7 @@ def _phase_flags(H, tol: float) -> tuple[bool, bool]:
         theta = metric_from_weights(family, family.kappa_default)
     except (ComplexSpectrum, DefectiveMatrix, SpanMismatch, SpectralPathUnavailable):
         return True, False
-    positive, _ = mc.is_positive_definite(theta, 1e-12 * max(1.0, mc.entry_norm(theta)))
+    positive, _ = mc.positive_metric(theta)
     admissible = check_quasi_hermitian(H, theta) <= 1e-8
     return True, bool(positive and admissible)
 

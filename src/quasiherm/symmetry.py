@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import matrixcore as mc
+from .dieudonne import check_quasi_hermitian
 from .errors import DimensionMismatch
 
 
@@ -31,9 +32,7 @@ def check_pt_symmetry(H, P) -> float:
     antilinear commutator vanishes on every vector.
     """
     Hm, Pm = _pair(H, P, "H", "P")
-    num = mc.fro(Hm @ Pm - Pm @ np.conj(Hm))
-    denom = mc.fro(Hm) * mc.fro(Pm)
-    return 0.0 if denom == 0.0 else num / denom
+    return mc.rel_residual(Hm @ Pm - Pm @ np.conj(Hm), Hm, Pm)
 
 
 def check_pct_symmetry(H, P, C) -> float:
@@ -47,10 +46,7 @@ def check_pct_symmetry(H, P, C) -> float:
     Cm = mc.as_square_matrix(C, "C")
     if Cm.shape != Hm.shape:
         raise DimensionMismatch(f"C {Cm.shape} vs H {Hm.shape}")
-    W = Pm @ Cm
-    num = mc.fro(Hm.conj().T @ W - W @ Hm)
-    denom = mc.fro(Hm) * mc.fro(W)
-    return 0.0 if denom == 0.0 else num / denom
+    return check_quasi_hermitian(Hm, Pm @ Cm)
 
 
 def check_pseudo_hermiticity(H, P) -> float:
@@ -60,16 +56,10 @@ def check_pseudo_hermiticity(H, P) -> float:
     there is a free parameter with no prescribed relation to H.  The check is
     provided for comparing model families against the literature.
     """
-    Hm, Pm = _pair(H, P, "H", "P")
-    num = mc.fro(Hm.conj().T @ Pm - Pm @ Hm)
-    denom = mc.fro(Hm) * mc.fro(Pm)
-    return 0.0 if denom == 0.0 else num / denom
+    return check_quasi_hermitian(*_pair(H, P, "H", "P"))
 
 
 def involution_defect(P) -> float:
     """Relative residual of ``P^2 = I`` (reported, never enforced)."""
     Pm = mc.as_square_matrix(P, "P")
-    ident = np.eye(Pm.shape[0])
-    num = mc.fro(Pm @ Pm - ident)
-    denom = mc.fro(Pm) ** 2
-    return 0.0 if denom == 0.0 else num / denom
+    return mc.rel_residual(Pm @ Pm - np.eye(Pm.shape[0]), Pm, Pm)

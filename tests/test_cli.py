@@ -180,6 +180,36 @@ def test_verify_corrupted_factor_fails_hermiticity_tag(toy_file, tmp_path):
     assert "deble1" in failed
 
 
+def test_verify_zero_factor_fails_its_relations(toy_file, tmp_path):
+    chain_out = tmp_path / "chain.json"
+    assert run(["chain", "--input", toy_file, "--n-factors", "3", "--out", str(chain_out)]) == 0
+    chain_obj = json.loads(chain_out.read_text())["chain"]
+    chain_obj["factors"][0] = mc.matrix_to_json(np.zeros((2, 2)))
+    zeroed = tmp_path / "zeroed.json"
+    zeroed.write_text(json.dumps(chain_obj))
+    verify_out = tmp_path / "verify.json"
+    assert run(["verify", "--input", str(zeroed), "--out", str(verify_out)]) == 1
+    report = json.loads(verify_out.read_text())
+    failed = [r["relation"] for r in report["theorem1"]["relations"] if not r["pass"]]
+    assert {"product[Lambda_1]", "metric-identity[k=0]"} <= set(failed)
+
+
+@pytest.mark.parametrize(
+    "command, entries",
+    [
+        ("analyze", [[1e200, 1.0], [1e200, -1e200]]),
+        ("metric", [[1e200, 1.0], [1e200, -1e200]]),
+        ("chain", [[1e200, 1.0], [1e200, -1e200]]),
+        ("chain", [[1e-300, 1e-310], [0.0, 2e-300]]),
+    ],
+    ids=["analyze-huge", "metric-huge", "chain-huge", "chain-tiny"],
+)
+def test_extreme_entry_scales_pass(command, entries, tmp_path):
+    path = tmp_path / "H.json"
+    path.write_text(json.dumps(mc.matrix_to_json(np.array(entries))))
+    assert run([command, "--input", str(path), "--out", str(tmp_path / "out.json")]) == 0
+
+
 def test_chain_wrong_param_count_exits_two(toy_file, parity_params_file):
     assert (
         run(

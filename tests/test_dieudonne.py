@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiherm import matrixcore as mc
 from quasiherm.dieudonne import (
@@ -15,7 +17,7 @@ from quasiherm.errors import (
     NonPositiveWeight,
     SpectralPathUnavailable,
 )
-from quasiherm.models import random_qh, toy_2x2, toy_2x2_metric
+from quasiherm.models import pt_chain, random_qh, toy_2x2, toy_2x2_metric
 
 TOY_H = toy_2x2(2.0)
 TOY_THETA = toy_2x2_metric(2.0)
@@ -81,6 +83,44 @@ def test_solution_space_dimension_and_span_agreement(dim):
         assert len(family.oracle_basis) == dim
         assert len(family.basis) == dim
         assert family.span_residual <= 1e-8
+
+
+def loop_oracle_basis(H, tol=1e-10):
+    """Null space of ``X -> H^dagger X - X H`` built one basis matrix at a time."""
+    d = H.shape[0]
+    herm = []
+    for i in range(d):
+        E = np.zeros((d, d), dtype=complex)
+        E[i, i] = 1.0
+        herm.append(E)
+    for i in range(d):
+        for j in range(i + 1, d):
+            E = np.zeros((d, d), dtype=complex)
+            E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
+            F = np.zeros((d, d), dtype=complex)
+            F[i, j], F[j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+            herm += [E, F]
+    cols = [H.conj().T @ E - E @ H for E in herm]
+    F = np.column_stack([np.concatenate([C.real.ravel(), C.imag.ravel()]) for C in cols])
+    _, svals, Vt = np.linalg.svd(F)
+    return [
+        sum(c * E for c, E in zip(Vt[k], herm))
+        for k in range(len(herm))
+        if svals[k] <= tol * svals[0]
+    ]
+
+
+@pytest.mark.parametrize(
+    "H",
+    [random_qh(2, 71)[0], random_qh(4, 72)[0], random_qh(8, 73)[0], pt_chain(16, 0.5)],
+    ids=["d2", "d4", "d8", "d16"],
+)
+def test_stacked_null_space_matches_loop_reference(H):
+    family = solve_metric_space(H)
+    reference = loop_oracle_basis(H)
+    assert len(family.oracle_basis) == len(reference) == H.shape[0]
+    for got, want in zip(family.oracle_basis, reference):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_basis_elements_solve_the_equation():
@@ -155,6 +195,30 @@ def test_qh_nonnormal_counterexample_value():
     # ||L^dagger - L||_F = 2 against ||L||_F ||I||_F = sqrt(2) * sqrt(2)
     got = check_quasi_hermitian(np.diag([1j, 1.0]), np.eye(2))
     assert got == pytest.approx(1.0, abs=1e-15)
+
+
+def _ldexp(A, k):
+    return np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 5),
+    st.booleans(),
+    st.integers(-500, 500),
+    st.integers(-500, 500),
+)
+def test_qh_residual_is_invariant_under_power_of_two_scaling(seed, dim, pair, a, b):
+    if pair:                       # an admissible pair: residual at rounding level
+        L, Theta = random_qh(dim, seed)
+    else:
+        rng = np.random.default_rng(seed)
+        L = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        Theta = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    base = check_quasi_hermitian(L, Theta)
+    assert check_quasi_hermitian(_ldexp(L, a), Theta) == base
+    assert check_quasi_hermitian(L, _ldexp(Theta, b)) == base
 
 
 def test_qh_dimension_mismatch():

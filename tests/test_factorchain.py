@@ -142,6 +142,17 @@ def test_factors_recompose_metric(dim, N):
         assert resid <= 1e-9
 
 
+@pytest.mark.parametrize("dim,N", [(2, 1), (2, 2), (4, 3), (6, 4), (8, 5)])
+def test_closed_form_factors_match_ladder_quotients(dim, N):
+    # build_chain takes Z_k in closed form; the definition is Lambda_k Lambda_{k-1}^-1
+    for seed in range(5):
+        chain = random_chain(dim, N, 43 * seed + dim + N)
+        Lam = chain.observables
+        for k, Z in enumerate(chain.factors, start=1):
+            reference = Lam[k] @ np.linalg.inv(Lam[k - 1])
+            assert mc.fro(Z - reference) <= 1e-10 * mc.fro(reference)
+
+
 def test_depth_two_reduction_matches_charge_formula():
     for seed in range(5):
         chain = random_chain(3, 2, 900 + seed)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiherm import matrixcore as mc
 from quasiherm.errors import (
@@ -48,6 +50,58 @@ def test_symmetrization_has_exactly_zero_defect(seed):
 def test_defect_rejects_rectangular():
     with pytest.raises(DimensionMismatch):
         mc.hermitian_defect(np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# fro and rel_residual
+# ---------------------------------------------------------------------------
+
+#: entries spanning six decades (or exactly zero), so every entry stays a
+#: normal float under any power-of-two rescaling by 2**-900 ... 2**900
+ENTRY = st.one_of(
+    st.just(0.0),
+    st.floats(1e-3, 1e3).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@st.composite
+def rescalable_matrices(draw):
+    d = draw(st.integers(1, 6))
+    entries = st.lists(ENTRY, min_size=d * d, max_size=d * d)
+    re = np.array(draw(entries)).reshape(d, d)
+    im = np.array(draw(entries)).reshape(d, d) if draw(st.booleans()) else None
+    return re, im
+
+
+@settings(max_examples=300, deadline=None)
+@given(rescalable_matrices(), st.integers(-900, 900))
+def test_fro_commutes_with_power_of_two_scaling(parts, k):
+    re, im = parts
+    if im is None:
+        A, scaled = re, np.ldexp(re, k)
+    else:
+        A, scaled = re + 1j * im, np.ldexp(re, k) + 1j * np.ldexp(im, k)
+    assert mc.fro(scaled) == np.ldexp(mc.fro(A), k)
+
+
+@pytest.mark.parametrize(
+    "A, expected",
+    [
+        ([[3 * 2.0**-1074, 4 * 2.0**-1074]], 5 * 2.0**-1074),   # subnormal peak
+        ([[3 * 2.0**1000, 4j * 2.0**1000]], 5 * 2.0**1000),    # squares overflow
+        ([[1e200, 1.0], [1e200, -1e200]], np.sqrt(3.0) * 1e200),
+        ([[0.0, 0.0]], 0.0),
+    ],
+)
+def test_fro_out_of_range(A, expected):
+    assert mc.fro(np.array(A)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_rel_residual_zero_numerator_is_zero_and_zero_denominator_is_inf():
+    Z = np.zeros((2, 2))
+    assert mc.rel_residual(Z, Z, Z) == 0.0
+    assert mc.rel_residual(np.eye(2), Z) == np.inf
+    assert mc.rel_residual(np.eye(2), 2 * np.eye(2)) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
