@@ -7,7 +7,8 @@ an observable ladder), ``verify`` (re-check a serialized chain), ``evolve``
 lattice family) and ``suite`` (seeded random-ensemble property run).
 
 Exit status: 0 when every check passes the configured tolerance, 1 on a
-verification failure, 2 on input or parse errors.  Reports are deterministic
+verification or numerical failure (e.g. ``ExponentialOverflow``), 2 on input
+or parse errors, operand shape mismatches included.  Reports are deterministic
 byte for byte for fixed inputs and seed; wall-clock metadata goes to stderr
 only.
 """
@@ -26,6 +27,7 @@ from .dieudonne import check_quasi_hermitian, metric_from_weights, solve_metric_
 from .errors import (
     BadDimension,
     BadRange,
+    DimensionMismatch,
     InputFormatError,
     QuasihermError,
     ZeroParameter,
@@ -336,7 +338,9 @@ def main(argv=None) -> int:
         if args.tol <= 0:
             raise InputFormatError("--tol must be positive")
         code = _DISPATCH[args.command](args)
-    except (InputFormatError, BadRange, BadDimension, ZeroParameter) as exc:
+    except (
+        InputFormatError, BadRange, BadDimension, DimensionMismatch, ZeroParameter
+    ) as exc:
         print(f"quasiherm: input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -210,10 +210,7 @@ def check_quasi_hermitian(L, Theta) -> float:
     and PC products included); zero-safe as ``matrixcore.rel_residual``.
     The caller compares the result against its own tolerance.
     """
-    Lm = mc.as_square_matrix(L, "L")
-    Tm = mc.as_square_matrix(Theta, "Theta")
-    if Lm.shape != Tm.shape:
-        raise DimensionMismatch(f"operator {Lm.shape} vs metric {Tm.shape}")
+    Lm, Tm = mc.square_pair(L, Theta, "L", "Theta")
     return mc.rel_residual(Lm.conj().T @ Tm - Tm @ Lm, Lm, Tm)
 
 

@@ -25,6 +25,10 @@ class SingularMatrix(QuasihermError):
     """Pivot collapsed during elimination: the matrix is numerically singular."""
 
 
+class ExponentialOverflow(QuasihermError):
+    """A matrix exponential has a non-finite entry (the input is too large)."""
+
+
 class ComplexSpectrum(QuasihermError):
     """The spectrum has imaginary parts beyond tolerance: no admissible metric exists."""
 

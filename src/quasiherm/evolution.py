@@ -2,11 +2,15 @@
 
 The forward states obey ``i d/dt psi = H psi`` and are propagated with the
 exact exponential ``exp(-i H t)``; the dual (metric-multiplied) states obey
-the conjugate equation ``i d/dt psi'' = H^dagger psi''``.  When H is
+the conjugate equation ``i d/dt psi'' = H^dagger psi''``.  Both exponentials
+come from ``matrixcore.mat_exp`` (scaling-and-squaring Pade), one call per
+state and one per dual at every sample, so the duals are an independent
+computation rather than ``Theta`` times the states.  When H is
 quasi-Hermitian for the metric the two propagations intertwine exactly and
 the weighted norm ``<psi|Theta|psi>`` is conserved, which is what
-``norm_trajectory`` certifies.  Step integrators appear only in the test
-suite as an independent oracle.
+``norm_trajectory`` certifies.  An exponential too large to represent raises
+``ExponentialOverflow``.  Step integrators appear only in the test suite as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .dieudonne import physical_inner_product, require_quasi_hermitian
-from .errors import BadRange, DimensionMismatch, NotPositiveDefinite, ZeroState
+from .errors import BadRange, NotPositiveDefinite, ZeroState
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,7 @@ def propagate_dual(H, Theta, psi0, t: float) -> np.ndarray:
     Requires the intertwining relation to hold (residual at most 1e-10);
     the result then equals ``Theta @ propagate(H, psi0, t)``.
     """
-    Hm = mc.as_square_matrix(H, "H")
-    Tm = mc.as_square_matrix(Theta, "Theta")
-    if Hm.shape != Tm.shape:
-        raise DimensionMismatch(f"H {Hm.shape} vs Theta {Tm.shape}")
+    Hm, Tm = mc.square_pair(H, Theta, "H", "Theta")
     require_quasi_hermitian(Hm, Tm, "dual propagation")
     psi = mc.as_vector(psi0, Hm.shape[0], "psi0")
     return mc.mat_exp(-1j * float(t) * Hm.conj().T) @ (Tm @ psi)
@@ -97,10 +98,7 @@ def norm_trajectory(H, Theta, psi0, times, check: bool = True) -> TrajectoryReco
     pair for diagnostic purposes, e.g. to expose the norm drift produced by
     the naive identity metric on a genuinely non-Hermitian Hamiltonian.
     """
-    Hm = mc.as_square_matrix(H, "H")
-    Tm = mc.as_square_matrix(Theta, "Theta")
-    if Hm.shape != Tm.shape:
-        raise DimensionMismatch(f"H {Hm.shape} vs Theta {Tm.shape}")
+    Hm, Tm = mc.square_pair(H, Theta, "H", "Theta")
     psi = mc.as_vector(psi0, Hm.shape[0], "psi0")
     ts = np.asarray(times, dtype=float).reshape(-1)
     if ts.size < 1 or np.any(np.diff(ts) <= 0):
@@ -137,10 +135,7 @@ def expectation(L, Theta, psi) -> complex:
     positive-definite metric; a complex value is the diagnostic signature of
     a non-observable L.
     """
-    Lm = mc.as_square_matrix(L, "L")
-    Tm = mc.as_square_matrix(Theta, "Theta")
-    if Lm.shape != Tm.shape:
-        raise DimensionMismatch(f"L {Lm.shape} vs Theta {Tm.shape}")
+    Lm, Tm = mc.square_pair(L, Theta, "L", "Theta")
     v = mc.as_vector(psi, Tm.shape[0], "psi")
     if np.linalg.norm(v) == 0.0:
         raise ZeroState("expectation needs a nonzero state")

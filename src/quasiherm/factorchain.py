@@ -40,7 +40,6 @@ import numpy as np
 from . import matrixcore as mc
 from .dieudonne import check_quasi_hermitian, require_quasi_hermitian
 from .errors import (
-    DimensionMismatch,
     FactorizationMismatch,
     InputFormatError,
     NotHermitianParameter,
@@ -149,7 +148,7 @@ class ObservableChain:
             params = tuple(mc.matrix_from_json(m) for m in obj["params"])
             observables = tuple(mc.matrix_from_json(m) for m in obj["observables"])
             factors = tuple(mc.matrix_from_json(m) for m in obj["factors"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"bad chain object: {exc}") from exc
         if len(observables) != N + 2 or len(factors) != N or len(params) != N - 1:
             raise InputFormatError("chain object has inconsistent sequence lengths")
@@ -177,10 +176,7 @@ def lemma1_observable(M, Theta) -> np.ndarray:
     automatically quasi-Hermitian with respect to Theta, which this function
     re-checks after the fact.
     """
-    Mm = mc.as_square_matrix(M, "M")
-    Tm = mc.as_square_matrix(Theta, "Theta")
-    if Mm.shape != Tm.shape:
-        raise DimensionMismatch(f"parameter {Mm.shape} vs metric {Tm.shape}")
+    Mm, Tm = mc.square_pair(M, Theta, "M", "Theta")
     _require_hermitian(Mm, "observable parameter")
     _require_positive_metric(Tm)
     Lam = Mm @ Tm
@@ -207,15 +203,10 @@ def build_chain(H, Theta, params) -> ObservableChain:
     consistency ladder hold by construction and keeps ``verify_chain`` an
     independent check.
     """
-    Hm = mc.as_square_matrix(H, "H")
-    Tm = mc.as_square_matrix(Theta, "Theta")
-    if Hm.shape != Tm.shape:
-        raise DimensionMismatch(f"H {Hm.shape} vs Theta {Tm.shape}")
+    Hm, Tm = mc.square_pair(H, Theta, "H", "Theta")
     dim = Hm.shape[0]
-    Ms = [mc.as_square_matrix(M, f"params[{i}]") for i, M in enumerate(params)]
+    Ms = [mc.square_pair(Hm, M, "H", f"params[{i}]")[1] for i, M in enumerate(params)]
     for i, M in enumerate(Ms):
-        if M.shape != (dim, dim):
-            raise DimensionMismatch(f"params[{i}] has shape {M.shape}")
         _require_hermitian(M, f"params[{i}]")
     _require_positive_metric(Tm)
     require_quasi_hermitian(Hm, Tm, "H with Theta")

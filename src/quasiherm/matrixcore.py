@@ -1,9 +1,10 @@
 """Dense complex matrix primitives.
 
 Everything in this package manipulates plain ``numpy.ndarray`` objects of
-dtype complex128.  This module owns the validation helpers, the
-biorthogonal eigendecomposition, inversion, the matrix exponential and the
-JSON interchange format used by every other module and the CLI.
+dtype complex128.  This module owns the validation helpers (including the
+one operand-pair gate ``square_pair``), the biorthogonal eigendecomposition,
+inversion, the package's one matrix exponential and the JSON interchange
+format used by every other module and the CLI.
 
 All functions are pure: inputs are never mutated and no module state exists,
 so concurrent calls from independent tasks are safe.
@@ -22,6 +23,7 @@ import scipy.linalg
 from .errors import (
     DefectiveMatrix,
     DimensionMismatch,
+    ExponentialOverflow,
     InputFormatError,
     NotHermitian,
     SingularMatrix,
@@ -31,8 +33,6 @@ from .errors import (
 DEFECT_OVERLAP_TOL = 1e-12
 #: pivots below this fraction of the max-entry norm abort the elimination
 PIVOT_RTOL = 1e-14
-#: eigenvector condition number above which mat_exp falls back to Pade
-_EXP_EIG_COND_LIMIT = 1e8
 
 
 def as_square_matrix(A, name: str = "matrix") -> np.ndarray:
@@ -43,6 +43,15 @@ def as_square_matrix(A, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise InputFormatError(f"{name} contains non-finite entries")
     return M
+
+
+def square_pair(A, B, name_a: str, name_b: str) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce two operands with ``as_square_matrix`` and require equal shapes."""
+    Am = as_square_matrix(A, name_a)
+    Bm = as_square_matrix(B, name_b)
+    if Am.shape != Bm.shape:
+        raise DimensionMismatch(f"{name_a} {Am.shape} vs {name_b} {Bm.shape}")
+    return Am, Bm
 
 
 def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -71,7 +80,8 @@ def fro(A) -> float:
     overflows.
     """
     A = np.asarray(A)
-    norm = float(np.linalg.norm(A))
+    with np.errstate(over="ignore"):  # an overflow is rescaled below
+        norm = float(np.linalg.norm(A))
     if 1e-140 < norm < 1e140 or not np.all(np.isfinite(A)):
         return norm
     e = -int(np.frexp(np.max(np.abs([A.real, A.imag]), initial=0.0))[1])
@@ -202,20 +212,19 @@ def positive_metric(Theta) -> tuple[bool, float]:
 
 
 def mat_exp(A) -> np.ndarray:
-    """Matrix exponential ``exp(A)``.
+    """Matrix exponential ``exp(A)``: the package's one exponential.
 
-    Uses the eigendecomposition when the input is diagonalizable with a
-    well-conditioned eigenvector basis, and otherwise falls back to the
-    scaling-and-squaring Pade evaluation (order-13 accuracy class).
+    Scaling-and-squaring Pade evaluation (``scipy.linalg.expm``, Higham
+    2005), which needs no eigenbasis and so holds at defective and
+    ill-conditioned inputs alike.
+
+    Raises ExponentialOverflow when the result has a non-finite entry.
     """
-    M = as_square_matrix(A)
-    try:
-        sd = eig(M)
-        if sd.condition_estimate <= _EXP_EIG_COND_LIMIT:
-            return (sd.right_vectors * np.exp(sd.eigenvalues)) @ sd.left_vectors.conj().T
-    except (DefectiveMatrix, np.linalg.LinAlgError):
-        pass
-    return scipy.linalg.expm(M)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        E = scipy.linalg.expm(as_square_matrix(A))
+    if not np.all(np.isfinite(E)):
+        raise ExponentialOverflow("exp(A) has non-finite entries: A is too large")
+    return E
 
 
 def inverse(A) -> np.ndarray:

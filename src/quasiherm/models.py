@@ -145,9 +145,10 @@ def qh_pair(h, omega) -> tuple[np.ndarray, np.ndarray]:
     return H, (Theta + Theta.conj().T) / 2.0
 
 
-#: retry caps for the conditioned draws in random_qh
+#: caps for the conditioned draws in random_qh, each tried at most _MAX_DRAWS times
 _OMEGA_COND_LIMIT = 50.0
 _GAP_FLOOR = 1e-4
+_MAX_DRAWS = 100
 
 
 def random_qh(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,20 +157,27 @@ def random_qh(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     Draws a Hermitian ``h`` (rejecting near-degenerate spectra) and an
     invertible ``Omega`` (rejecting condition numbers above 50), then returns
     ``qh_pair(h, Omega)``.  Fixed seed implies fixed matrices.
+
+    Raises BadDimension when either draw is rejected ``_MAX_DRAWS`` times in
+    a row, as happens to ``Omega`` at d = 64.
     """
     if int(d) != d or d < 2:
         raise BadDimension("random_qh needs d >= 2")
     d = int(d)
     rng = DeterministicRng(seed)
-    while True:
+    for _ in range(_MAX_DRAWS):
         h = rng.hermitian_matrix(d)
         gaps = np.diff(np.sort(np.linalg.eigvalsh(h)))
         if gaps.min() >= _GAP_FLOOR * mc.fro(h):
             break
-    while True:
+    else:
+        raise BadDimension(f"random_qh({d}): {_MAX_DRAWS} h draws missed the gap floor")
+    for _ in range(_MAX_DRAWS):
         omega = rng.complex_normal_matrix(d)
         if np.linalg.cond(omega) <= _OMEGA_COND_LIMIT:
             break
+    else:
+        raise BadDimension(f"random_qh({d}): {_MAX_DRAWS} Omega draws had cond > 50")
     return qh_pair(h, omega)
 
 

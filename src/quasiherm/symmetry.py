@@ -14,15 +14,6 @@ import numpy as np
 
 from . import matrixcore as mc
 from .dieudonne import check_quasi_hermitian
-from .errors import DimensionMismatch
-
-
-def _pair(A, B, name_a: str, name_b: str):
-    Am = mc.as_square_matrix(A, name_a)
-    Bm = mc.as_square_matrix(B, name_b)
-    if Am.shape != Bm.shape:
-        raise DimensionMismatch(f"{name_a} {Am.shape} vs {name_b} {Bm.shape}")
-    return Am, Bm
 
 
 def check_pt_symmetry(H, P) -> float:
@@ -31,7 +22,7 @@ def check_pt_symmetry(H, P) -> float:
     Evaluated as ``||H P - P conj(H)|| / (||H|| ||P||)``; zero iff the
     antilinear commutator vanishes on every vector.
     """
-    Hm, Pm = _pair(H, P, "H", "P")
+    Hm, Pm = mc.square_pair(H, P, "H", "P")
     return mc.rel_residual(Hm @ Pm - Pm @ np.conj(Hm), Hm, Pm)
 
 
@@ -42,10 +33,8 @@ def check_pct_symmetry(H, P, C) -> float:
     admissible metric this is exactly the hidden-Hermiticity condition, but
     the check itself requires no positivity of PC.
     """
-    Hm, Pm = _pair(H, P, "H", "P")
-    Cm = mc.as_square_matrix(C, "C")
-    if Cm.shape != Hm.shape:
-        raise DimensionMismatch(f"C {Cm.shape} vs H {Hm.shape}")
+    Hm, Pm = mc.square_pair(H, P, "H", "P")
+    _, Cm = mc.square_pair(Hm, C, "H", "C")
     return check_quasi_hermitian(Hm, Pm @ Cm)
 
 
@@ -56,7 +45,7 @@ def check_pseudo_hermiticity(H, P) -> float:
     there is a free parameter with no prescribed relation to H.  The check is
     provided for comparing model families against the literature.
     """
-    return check_quasi_hermitian(*_pair(H, P, "H", "P"))
+    return check_quasi_hermitian(*mc.square_pair(H, P, "H", "P"))
 
 
 def involution_defect(P) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 from quasiherm import matrixcore as mc
 from quasiherm.cli import main
-from quasiherm.models import parity, pt_chain, toy_2x2
+from quasiherm.models import parity, pt_chain, random_qh, toy_2x2
 
 
 @pytest.fixture
@@ -194,6 +194,18 @@ def test_verify_zero_factor_fails_its_relations(toy_file, tmp_path):
     assert {"product[Lambda_1]", "metric-identity[k=0]"} <= set(failed)
 
 
+@pytest.mark.parametrize("field, value", [("N", "x"), ("dim", "two")])
+def test_verify_non_integer_header_exits_two(toy_file, tmp_path, field, value, capsys):
+    chain_out = tmp_path / "chain.json"
+    assert run(["chain", "--input", toy_file, "--out", str(chain_out)]) == 0
+    chain_obj = json.loads(chain_out.read_text())["chain"]
+    chain_obj[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(chain_obj))
+    assert run(["verify", "--input", str(bad)]) == 2
+    assert "input error: InputFormatError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, entries",
     [
@@ -225,6 +237,14 @@ def test_chain_wrong_param_count_exits_two(toy_file, parity_params_file):
         )
         == 2
     )
+
+
+def test_chain_wrong_sized_param_exits_two(toy_file, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps([mc.matrix_to_json(parity(3))]))
+    argv = ["chain", "--input", toy_file, "--params", str(params)]
+    assert run(argv) == 2
+    assert "input error: DimensionMismatch" in capsys.readouterr().err
 
 
 def test_chain_reports_are_deterministic(toy_file, tmp_path):
@@ -292,6 +312,34 @@ def test_evolve_csv(toy_file, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("t,norm,re_psi0")
     assert len(lines) == 12
+
+
+def evolve_files(tmp_path, H, psi):
+    matrix = tmp_path / "H.json"
+    matrix.write_text(json.dumps(mc.matrix_to_json(np.asarray(H))))
+    state = tmp_path / "psi.json"
+    state.write_text(json.dumps(mc.vector_to_json(np.asarray(psi))))
+    return ["evolve", "--input", str(matrix), "--state", str(state)]
+
+
+def test_evolve_wrong_state_length_exits_two(tmp_path, capsys):
+    argv = evolve_files(tmp_path, toy_2x2(2.0), [1.0, 0.0, 0.0])
+    assert run(argv) == 2
+    assert "input error: DimensionMismatch" in capsys.readouterr().err
+
+
+def test_evolve_huge_scale_passes(tmp_path):
+    H, _ = random_qh(6, 1)
+    argv = evolve_files(tmp_path, 1e100 * H, np.ones(6))
+    assert run(argv + ["--out", str(tmp_path / "out.json")]) == 0
+
+
+def test_evolve_overflowing_exponential_exits_one(tmp_path, capsys):
+    argv = evolve_files(tmp_path, [[1e200, 1.0], [1e200, -1e200]], [1.0, 0.0])
+    assert run(argv + ["--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert "ExponentialOverflow" in err
+    assert "input error" not in err
 
 
 # ---------------------------------------------------------------------------

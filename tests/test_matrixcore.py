@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from quasiherm import matrixcore as mc
 from quasiherm.errors import (
     DefectiveMatrix,
     DimensionMismatch,
+    ExponentialOverflow,
     InputFormatError,
     NotHermitian,
     SingularMatrix,
@@ -95,6 +97,20 @@ def test_fro_commutes_with_power_of_two_scaling(parts, k):
 )
 def test_fro_out_of_range(A, expected):
     assert mc.fro(np.array(A)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_fro_huge_input_emits_no_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mc.fro([[1e200, 1.0], [1e200, -1e200]])
+    assert got == pytest.approx(np.sqrt(3.0) * 1e200, rel=1e-15)
+
+
+def test_square_pair_coerces_and_rejects_shape_mismatch():
+    A, B = mc.square_pair(np.eye(2), [[1, 2], [3, 4]], "A", "B")
+    assert A.dtype == B.dtype == complex
+    with pytest.raises(DimensionMismatch, match="A .* vs B"):
+        mc.square_pair(np.eye(2), np.eye(3), "A", "B")
 
 
 def test_rel_residual_zero_numerator_is_zero_and_zero_denominator_is_inf():
@@ -218,6 +234,27 @@ def test_exp_jordan_fallback_matches_closed_form():
     got = mc.mat_exp(np.array([[1.0, 1.0], [0.0, 1.0]]))
     want = np.e * np.array([[1.0, 1.0], [0.0, 1.0]])
     np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def eigen_exponential(A):
+    """Reference ``sum_n e^{lambda_n} |R_n><L_n|`` from the biorthonormal eig."""
+    sd = mc.eig(A)
+    return (sd.right_vectors * np.exp(sd.eigenvalues)) @ sd.left_vectors.conj().T
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32])
+@pytest.mark.parametrize("seed", range(3))
+def test_exp_matches_eigen_exponential_reference(dim, seed):
+    rng = np.random.default_rng(100 * dim + seed)
+    A = random_complex(rng, dim)
+    A *= 3.0 / np.abs(np.linalg.eigvals(A)).max()     # spectral radius 3
+    want = eigen_exponential(A)
+    assert mc.rel_residual(mc.mat_exp(A) - want, want) <= 1e-13
+
+
+def test_exp_overflow_raises_typed_error():
+    with pytest.raises(ExponentialOverflow):
+        mc.mat_exp(np.diag([1000.0, 0.0]))
 
 
 @pytest.mark.parametrize("seed", RNG_SEEDS)

@@ -134,6 +134,12 @@ def test_random_qh_identity_similarity_path():
     np.testing.assert_allclose(theta, np.eye(4), atol=0.0)
 
 
+def test_random_qh_refuses_a_dimension_it_cannot_draw():
+    # at d = 64 essentially no Omega draw has cond <= 50: raise, do not hang
+    with pytest.raises(BadDimension, match="Omega"):
+        random_qh(64, 1)
+
+
 def test_random_qh_fixed_seed_is_bit_stable():
     first_H, first_T = random_qh(4, 42)
     second_H, second_T = random_qh(4, 42)
