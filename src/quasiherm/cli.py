@@ -153,7 +153,7 @@ def _cmd_metric(args) -> int:
         "command": "metric",
         "tol": args.tol,
         "family": family.to_json(),
-        "solution_space_dim": len(family.oracle_basis),
+        "solution_space_dim": len(family.basis),
         "span_residual": family.span_residual,
         "degenerate": family.degenerate,
         "default_metric": mc.matrix_to_json(theta),

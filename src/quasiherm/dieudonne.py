@@ -2,22 +2,30 @@
 metric candidates, parameterize the admissible (positive-definite) family and
 evaluate physical inner products.
 
-Two independent constructions of the solution space are computed and cross
-checked on every solve:
-
-* an algebraic null-space path over the real vector space of Hermitian
-  matrices (dim^2 real parameters), thresholded by singular value;
-* a spectral path built from rank-one projectors onto left eigenvectors,
-  defined whenever the spectrum is real and nondegenerate.
-
-The positive-weight combinations of the spectral projectors exhaust the
-positive-definite metrics, so the weight vector is exactly the residual
+For a real, nondegenerate spectrum the solution space is spanned by the
+rank-one projectors ``|L_n><L_n|`` onto the left eigenvectors of H, and the
+positive-weight combinations of these projectors exhaust the
+positive-definite metrics (Scholtz, Geyer and Hahne 1992; Mostafazadeh,
+arXiv:0810.5643).  The weight vector is therefore exactly the residual
 freedom left by the equation (the metric is never unique; selecting a member
 of the family is deliberately left to the caller).
+
+Every nondegenerate solve cross-checks two independent constructions of the
+left eigenvectors, both O(dim^3):
+
+* the rows of the inverted right eigenvector basis of H (``matrixcore.eig``);
+* the right eigenvectors of ``H^dagger`` from a separate eigensolve, matched
+  to H's eigenvalues by sorting their conjugates with the same key.
+
+The algebraic null space over the real vector space of Hermitian matrices
+(dim^2 real parameters, thresholded by singular value) costs O(dim^6).  It
+is built only on demand, as ``MetricFamily.oracle_basis``, except for
+degenerate spectra, where it is the only basis available.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -34,7 +42,7 @@ from .errors import (
     SpectralPathUnavailable,
 )
 
-#: mutual-projection residual above which the two solution paths are rejected
+#: left-eigenvector disagreement above which the two eigensolves are rejected
 SPAN_AGREEMENT_TOL = 1e-8
 #: intertwining residual above which an (operator, metric) pair is refused
 QH_GATE = 1e-10
@@ -47,18 +55,32 @@ class MetricFamily:
     ``basis`` spans the real linear space of Hermitian solutions; when the
     spectral path is available its elements are the left-eigenvector
     projectors ``|L_n><L_n|`` (one per eigenvalue, matching ``kappa_default``).
-    ``oracle_basis`` is the independently computed null-space basis and is
-    always present.  ``degenerate`` flags spectra whose smallest gap fell
-    below tolerance, in which case only the oracle basis is returned.
+    ``oracle_basis`` is the independently computed null-space basis; for a
+    nondegenerate spectrum it is built from ``hamiltonian`` and ``tol`` on
+    first access (O(dim^6)) and cached.  ``degenerate`` flags spectra whose
+    smallest gap fell below tolerance, in which case the null-space basis is
+    the only basis and ``span_residual`` is None.
+
+    ``span_residual`` is the disagreement of the two eigensolves: the larger
+    of ``max_n ||v_n - e^{i phi_n} L_n||`` over the unit-normalized left
+    vectors of H and right vectors of ``H^dagger`` (phase taken from their
+    overlap) and ``max_n |conj(mu_n) - lambda_n| / ||H||``.
     """
 
     dim: int
     basis: tuple[np.ndarray, ...]
-    oracle_basis: tuple[np.ndarray, ...]
     spectral: mc.SpectralData | None
     kappa_default: np.ndarray
     degenerate: bool
     span_residual: float | None
+    hamiltonian: np.ndarray
+    tol: float
+
+    @functools.cached_property
+    def oracle_basis(self) -> tuple[np.ndarray, ...]:
+        if self.degenerate:
+            return self.basis
+        return tuple(_null_space(self.hamiltonian, self.tol))
 
     def to_json(self) -> dict:
         return {
@@ -84,23 +106,38 @@ def _hermitian_basis(dim: int) -> np.ndarray:
     return E
 
 
-def _realcols(X: np.ndarray) -> np.ndarray:
-    """Stacked matrices as real columns ``(re.ravel(), im.ravel())``."""
-    flat = X.reshape(len(X), -1)
-    return np.concatenate([flat.real, flat.imag], axis=1).T
+def _null_space(Hm: np.ndarray, tol: float) -> np.ndarray:
+    """Hermitian null space of ``X -> H^dagger X - X H``, shape ``(k, dim, dim)``.
+
+    X is represented by dim^2 real coordinates in a Frobenius orthonormal
+    Hermitian basis and the image is split into (re, im) parts.  The real
+    system is 2 dim^2 x dim^2, so the reduced SVD returns every right vector.
+    """
+    herm = _hermitian_basis(Hm.shape[0])
+    image = (Hm.conj().T @ herm - herm @ Hm).reshape(len(herm), -1)
+    F = np.concatenate([image.real, image.imag], axis=1).T
+    _, svals, Vt = np.linalg.svd(F, full_matrices=False)
+    return np.tensordot(Vt[svals <= tol * svals[0]], herm, axes=1)
 
 
-def _span_residual(first: np.ndarray, second: np.ndarray) -> float:
-    """Largest relative distance between either span and the other's projection."""
-    if not len(first) or not len(second):
-        return np.inf
-    A, B = _realcols(first), _realcols(second)
-    worst = 0.0
-    for span, other in ((A, B), (B, A)):
-        Q = np.linalg.qr(span)[0]
-        resid = np.linalg.norm(other - Q @ (Q.T @ other), axis=0)
-        worst = max(worst, float((resid / np.linalg.norm(other, axis=0)).max()))
-    return worst
+def _eigensolve_disagreement(Hm: np.ndarray, spectral: mc.SpectralData, scale: float) -> float:
+    """``span_residual``: H's left eigenvectors against an eigensolve of ``H^dagger``.
+
+    The pairs are matched by sorting the conjugate eigenvalues with
+    ``matrixcore.eig``'s (real, imaginary) key; ``np.linalg.eig`` returns
+    unit columns.  The phase-aligned difference of unit vectors stays at
+    rounding level; the cancelling form ``sqrt(1 - |<L|v>|^2)`` would floor
+    near 1.5e-8.
+    """
+    mu, V = np.linalg.eig(Hm.conj().T)
+    mu = mu.conj()
+    order = np.lexsort((mu.imag, mu.real))
+    mu, V = mu[order], V[:, order]
+    L = spectral.left_vectors / np.linalg.norm(spectral.left_vectors, axis=0)
+    phase = np.exp(1j * np.angle(np.sum(L.conj() * V, axis=0)))
+    vectors = float(np.linalg.norm(V - phase * L, axis=0).max())
+    drift = mc.entry_norm(mu - spectral.eigenvalues)
+    return max(vectors, drift / scale if drift else 0.0)
 
 
 def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
@@ -117,8 +154,9 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
     Returns
     -------
     MetricFamily
-        Null-space basis plus, for nondegenerate spectra, the spectral
-        projector basis with all-ones default weights.
+        For nondegenerate spectra the spectral projector basis with all-ones
+        default weights (the null-space basis follows on demand); otherwise
+        the null-space basis alone.
 
     Raises
     ------
@@ -128,10 +166,12 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
     DefectiveMatrix
         Propagated from the eigensolver at an exceptional point.
     SpanMismatch
-        When the two independently computed spans disagree beyond 1e-8.
+        When the left eigenvectors of H and the separately computed right
+        eigenvectors of ``H^dagger`` disagree beyond 1e-8.
 
     Warns with DegenerateSpectrumWarning and skips the spectral path when the
-    smallest eigenvalue gap falls below ``tol * ||H||``.
+    smallest eigenvalue gap falls below ``tol * ||H||``; the null-space basis
+    is then built at once, since it is the only basis.
     """
     Hm = mc.as_square_matrix(H, "H")
     if tol <= 0:
@@ -146,14 +186,6 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
             f"max |Im eigenvalue| {max_imag:.3e} exceeds {tol:.1e} * ||H||"
         )
 
-    # Null-space path: represent X by dim^2 real coordinates in a Frobenius
-    # orthonormal Hermitian basis and split the image into (re, im) parts.
-    # F is 2 dim^2 x dim^2, so the reduced SVD returns every right vector.
-    herm = _hermitian_basis(dim)
-    F = _realcols(Hm.conj().T @ herm - herm @ Hm)
-    _, svals, Vt = np.linalg.svd(F, full_matrices=False)
-    oracle = np.tensordot(Vt[svals <= tol * svals[0]], herm, axes=1)
-
     degenerate = spectral.min_gap() < tol * max(scale, 1e-300)
     if degenerate:
         warnings.warn(
@@ -161,23 +193,24 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
             DegenerateSpectrumWarning,
             stacklevel=2,
         )
-        basis, spectral, residual = oracle, None, None
+        basis, spectral, residual = _null_space(Hm, tol), None, None
     else:
         Lv = spectral.left_vectors
         basis = Lv.T[:, :, None] * Lv.T[:, None, :].conj()      # |L_n><L_n|
-        residual = _span_residual(oracle, basis)
+        residual = _eigensolve_disagreement(Hm, spectral, scale)
         if residual > SPAN_AGREEMENT_TOL:
             raise SpanMismatch(
-                f"null-space and spectral solution spans differ by {residual:.3e}"
+                f"eigensolves of H and H^dagger disagree by {residual:.3e}"
             )
     return MetricFamily(
         dim=dim,
         basis=tuple(basis),
-        oracle_basis=tuple(oracle),
         spectral=spectral,
         kappa_default=np.ones(len(basis)),
         degenerate=degenerate,
         span_residual=residual,
+        hamiltonian=Hm,
+        tol=tol,
     )
 
 

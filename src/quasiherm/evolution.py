@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .dieudonne import physical_inner_product, require_quasi_hermitian
-from .errors import BadRange, NotPositiveDefinite, ZeroState
+from .errors import BadRange, ZeroState
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,7 @@ def norm_trajectory(H, Theta, psi0, times, check: bool = True) -> TrajectoryReco
     ts = np.asarray(times, dtype=float).reshape(-1)
     if ts.size < 1 or np.any(np.diff(ts) <= 0):
         raise BadRange("times must be a nonempty strictly increasing sequence")
-    positive, lam_min = mc.positive_metric(Tm)
-    if not positive:
-        raise NotPositiveDefinite(f"metric smallest eigenvalue {lam_min:.3e}")
+    mc.require_positive_metric(Tm)
     if check:
         require_quasi_hermitian(Hm, Tm, "norm trajectory")
 

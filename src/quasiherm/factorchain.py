@@ -43,7 +43,6 @@ from .errors import (
     FactorizationMismatch,
     InputFormatError,
     NotHermitianParameter,
-    NotPositiveDefinite,
     SingularMatrix,
     SingularParameter,
     WrongN,
@@ -163,12 +162,6 @@ def _require_hermitian(M: np.ndarray, what: str) -> None:
         raise NotHermitianParameter(f"{what} has Hermitian defect {defect:.3e}")
 
 
-def _require_positive_metric(Theta: np.ndarray) -> None:
-    positive, lam_min = mc.positive_metric(Theta)
-    if not positive:
-        raise NotPositiveDefinite(f"metric has smallest eigenvalue {lam_min:.3e}")
-
-
 def lemma1_observable(M, Theta) -> np.ndarray:
     """Eligible observable ``Lambda = M Theta`` for Hermitian M.
 
@@ -178,7 +171,7 @@ def lemma1_observable(M, Theta) -> np.ndarray:
     """
     Mm, Tm = mc.square_pair(M, Theta, "M", "Theta")
     _require_hermitian(Mm, "observable parameter")
-    _require_positive_metric(Tm)
+    mc.require_positive_metric(Tm)
     Lam = Mm @ Tm
     require_quasi_hermitian(Lam, Tm, "post-hoc check of M Theta")
     return Lam
@@ -208,7 +201,7 @@ def build_chain(H, Theta, params) -> ObservableChain:
     Ms = [mc.square_pair(Hm, M, "H", f"params[{i}]")[1] for i, M in enumerate(params)]
     for i, M in enumerate(Ms):
         _require_hermitian(M, f"params[{i}]")
-    _require_positive_metric(Tm)
+    mc.require_positive_metric(Tm)
     require_quasi_hermitian(Hm, Tm, "H with Theta")
 
     N = len(Ms) + 1

@@ -2,7 +2,8 @@
 
 Everything in this package manipulates plain ``numpy.ndarray`` objects of
 dtype complex128.  This module owns the validation helpers (including the
-one operand-pair gate ``square_pair``), the biorthogonal eigendecomposition,
+one operand-pair gate ``square_pair`` and the one admissible-metric gate
+``require_positive_metric``), the biorthogonal eigendecomposition,
 inversion, the package's one matrix exponential and the JSON interchange
 format used by every other module and the CLI.
 
@@ -26,6 +27,7 @@ from .errors import (
     ExponentialOverflow,
     InputFormatError,
     NotHermitian,
+    NotPositiveDefinite,
     SingularMatrix,
 )
 
@@ -209,6 +211,13 @@ def positive_metric(Theta) -> tuple[bool, float]:
     metric's positivity in the package goes through here.
     """
     return is_positive_definite(Theta, 1e-12 * max(1.0, entry_norm(Theta)))
+
+
+def require_positive_metric(Theta) -> None:
+    """Raise NotPositiveDefinite when ``positive_metric`` refuses Theta."""
+    positive, lam_min = positive_metric(Theta)
+    if not positive:
+        raise NotPositiveDefinite(f"metric has smallest eigenvalue {lam_min:.3e}")
 
 
 def mat_exp(A) -> np.ndarray:

@@ -222,6 +222,16 @@ def test_extreme_entry_scales_pass(command, entries, tmp_path):
     assert run([command, "--input", str(path), "--out", str(tmp_path / "out.json")]) == 0
 
 
+def test_metric_large_dimension_passes(tmp_path):
+    path = tmp_path / "H.json"
+    path.write_text(json.dumps(mc.matrix_to_json(pt_chain(64, 0.5))))
+    out = tmp_path / "metric.json"
+    assert run(["metric", "--input", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["solution_space_dim"] == 64
+    assert report["span_residual"] <= 1e-8
+
+
 def test_chain_wrong_param_count_exits_two(toy_file, parity_params_file):
     assert (
         run(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from quasiherm.errors import (
     DegenerateSpectrumWarning,
     DimensionMismatch,
     NonPositiveWeight,
+    SpanMismatch,
     SpectralPathUnavailable,
 )
 from quasiherm.models import pt_chain, random_qh, toy_2x2, toy_2x2_metric
@@ -121,6 +124,76 @@ def test_stacked_null_space_matches_loop_reference(H):
     assert len(family.oracle_basis) == len(reference) == H.shape[0]
     for got, want in zip(family.oracle_basis, reference):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def realcols(X):
+    """Stacked matrices as real columns ``(re.ravel(), im.ravel())``."""
+    flat = np.asarray(X).reshape(len(X), -1)
+    return np.concatenate([flat.real, flat.imag], axis=1).T
+
+
+def span_residual(first, second):
+    """Largest relative distance between either span and the other's projection."""
+    if not len(first) or not len(second):
+        return np.inf
+    A, B = realcols(first), realcols(second)
+    worst = 0.0
+    for span, other in ((A, B), (B, A)):
+        Q = np.linalg.qr(span)[0]
+        resid = np.linalg.norm(other - Q @ (Q.T @ other), axis=0)
+        worst = max(worst, float((resid / np.linalg.norm(other, axis=0)).max()))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "H",
+    [random_qh(d, 500 + d)[0] for d in range(2, 9)]
+    + [pt_chain(16, g) for g in (0.5, 0.99, 0.999)],
+    ids=[f"random-d{d}" for d in range(2, 9)] + ["pt16-0.5", "pt16-0.99", "pt16-0.999"],
+)
+def test_spectral_basis_spans_the_null_space(H):
+    family = solve_metric_space(H)
+    assert len(family.oracle_basis) == len(family.basis) == H.shape[0]
+    assert span_residual(family.oracle_basis, family.basis) <= 1e-8
+
+
+def test_nondegenerate_solve_defers_the_null_space():
+    family = solve_metric_space(random_qh(6, 81)[0])
+    assert "oracle_basis" not in family.__dict__
+    assert len(family.oracle_basis) == 6
+    assert "oracle_basis" in family.__dict__
+
+
+def test_corrupted_left_vector_raises_span_mismatch(monkeypatch):
+    H, _ = random_qh(5, 82)
+    assert solve_metric_space(H).span_residual <= 1e-12
+    exact = mc.eig
+
+    def rotated(A):
+        sd = exact(A)
+        L = sd.left_vectors.copy()
+        u = L[:, 1] - (np.vdot(L[:, 0], L[:, 1]) / np.vdot(L[:, 0], L[:, 0])) * L[:, 0]
+        u *= np.linalg.norm(L[:, 0]) / np.linalg.norm(u)
+        L[:, 0] = np.cos(1e-6) * L[:, 0] + np.sin(1e-6) * u
+        return dataclasses.replace(sd, left_vectors=L)
+
+    monkeypatch.setattr(mc, "eig", rotated)
+    with pytest.raises(SpanMismatch):
+        solve_metric_space(H)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16, 32])
+def test_eigensolves_agree_near_the_exceptional_point(dim):
+    for gamma in (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999):
+        assert solve_metric_space(pt_chain(dim, gamma)).span_residual <= 1e-8, gamma
+
+
+def test_large_dimension_default_metric():
+    H = pt_chain(64, 0.5)
+    family = solve_metric_space(H)
+    theta = metric_from_weights(family, family.kappa_default)
+    assert mc.positive_metric(theta)[0]
+    assert check_quasi_hermitian(H, theta) <= 1e-10
 
 
 def test_basis_elements_solve_the_equation():
