@@ -282,13 +282,10 @@ def _cmd_suite(args) -> int:
         chain = build_chain(H, theta, params)
         ladder = verify_chain(chain, args.tol)
         theorem = verify_theorem1(chain, args.tol)
-        spectrum_imag = 0.0
-        for Lam in chain.observables:
-            sd = mc.eig(Lam)
-            scale = max(mc.fro(Lam), 1e-300)
-            spectrum_imag = max(
-                spectrum_imag, float(np.abs(sd.eigenvalues.imag).max()) / scale
-            )
+        spectrum_imag = max(
+            mc.spectrum_imag(mc.eig(Lam).eigenvalues, mc.fro(Lam))[1]
+            for Lam in chain.observables
+        )
         psi0 = np.array([rng.normal() + 1j * rng.normal() for _ in range(dim)])
         record = norm_trajectory(H, theta, psi0, np.linspace(0.0, 5.0, 21))
         worst["ladder"] = max(worst["ladder"], *(r.residual for r in ladder.relations))

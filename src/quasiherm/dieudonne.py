@@ -2,25 +2,20 @@
 metric candidates, parameterize the admissible (positive-definite) family and
 evaluate physical inner products.
 
-For a real, nondegenerate spectrum the solution space is spanned by the
-rank-one projectors ``|L_n><L_n|`` onto the left eigenvectors of H, and the
-positive-weight combinations of these projectors exhaust the
-positive-definite metrics (Scholtz, Geyer and Hahne 1992; Mostafazadeh,
-arXiv:0810.5643).  The weight vector is therefore exactly the residual
-freedom left by the equation (the metric is never unique; selecting a member
-of the family is deliberately left to the caller).
+For a diagonalizable H with a real spectrum, the sorted eigenvalues fall into
+clusters (a new one starts at every gap of at least ``tol * ||H||``); cluster
+b has multiplicity m_b and left eigenvector block ``L_b``.  The Hermitian
+solutions are ``sum_b L_b K_b L_b^dagger`` over Hermitian m_b x m_b blocks
+``K_b``, positive definite exactly when every ``K_b`` is (Scholtz, Geyer and
+Hahne 1992; Mostafazadeh, arXiv:0810.5643).  The metric is never unique;
+selecting a member of the family is deliberately left to the caller.
 
-Every nondegenerate solve cross-checks two independent constructions of the
-left eigenvectors, both O(dim^3):
-
-* the rows of the inverted right eigenvector basis of H (``matrixcore.eig``);
-* the right eigenvectors of ``H^dagger`` from a separate eigensolve, matched
-  to H's eigenvalues by sorting their conjugates with the same key.
-
-The algebraic null space over the real vector space of Hermitian matrices
-(dim^2 real parameters, thresholded by singular value) costs O(dim^6).  It
-is built only on demand, as ``MetricFamily.oracle_basis``, except for
-degenerate spectra, where it is the only basis available.
+Every solve cross-checks, in O(dim^3), the left eigenvectors of H (rows of
+the inverted right basis from ``matrixcore.eig``) against the right
+eigenvectors of ``H^dagger`` from a separate eigensolve, matched by sorted
+conjugate eigenvalue and compared against the span of their cluster.  The
+O(dim^6) algebraic null space over the dim^2 real parameters of a Hermitian
+matrix is built only on demand, as ``MetricFamily.oracle_basis``.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from .errors import (
     NonPositiveWeight,
     QuasiHermiticityViolation,
     SpanMismatch,
-    SpectralPathUnavailable,
 )
 
 #: left-eigenvector disagreement above which the two eigensolves are rejected
@@ -52,34 +46,30 @@ QH_GATE = 1e-10
 class MetricFamily:
     """Hermitian basis of the metric solution space for one Hamiltonian.
 
-    ``basis`` spans the real linear space of Hermitian solutions; when the
-    spectral path is available its elements are the left-eigenvector
-    projectors ``|L_n><L_n|`` (one per eigenvalue, matching ``kappa_default``).
-    ``oracle_basis`` is the independently computed null-space basis; for a
-    nondegenerate spectrum it is built from ``hamiltonian`` and ``tol`` on
-    first access (O(dim^6)) and cached.  ``degenerate`` flags spectra whose
-    smallest gap fell below tolerance, in which case the null-space basis is
-    the only basis and ``span_residual`` is None.
+    ``basis`` holds the projectors ``|L_n><L_n|`` (one per eigenvalue,
+    matching ``kappa_default``), then for each pair i < j in one eigenvalue
+    cluster ``(|L_i><L_j| + h.c.)/sqrt 2`` and ``i(|L_i><L_j| - h.c.)/sqrt 2``:
+    ``sum_b m_b^2`` elements.  ``degenerate`` flags a cluster of more than one
+    eigenvalue.  ``oracle_basis``, the null-space basis, is built from
+    ``hamiltonian`` and ``tol`` on first access and cached.
 
-    ``span_residual`` is the disagreement of the two eigensolves: the larger
-    of ``max_n ||v_n - e^{i phi_n} L_n||`` over the unit-normalized left
-    vectors of H and right vectors of ``H^dagger`` (phase taken from their
-    overlap) and ``max_n |conj(mu_n) - lambda_n| / ||H||``.
+    ``span_residual`` is the larger of ``max_n ||v_n - P_n v_n||``, with
+    ``v_n`` the unit eigenvectors of ``H^dagger`` and ``P_n`` the orthogonal
+    projector onto H's left vectors in the cluster of n, and
+    ``max_n |conj(mu_n) - lambda_n| / ||H||``.
     """
 
     dim: int
     basis: tuple[np.ndarray, ...]
-    spectral: mc.SpectralData | None
+    spectral: mc.SpectralData
     kappa_default: np.ndarray
     degenerate: bool
-    span_residual: float | None
+    span_residual: float
     hamiltonian: np.ndarray
     tol: float
 
     @functools.cached_property
     def oracle_basis(self) -> tuple[np.ndarray, ...]:
-        if self.degenerate:
-            return self.basis
         return tuple(_null_space(self.hamiltonian, self.tol))
 
     def to_json(self) -> dict:
@@ -112,31 +102,33 @@ def _null_space(Hm: np.ndarray, tol: float) -> np.ndarray:
     X is represented by dim^2 real coordinates in a Frobenius orthonormal
     Hermitian basis and the image is split into (re, im) parts.  The real
     system is 2 dim^2 x dim^2, so the reduced SVD returns every right vector.
+    The cut is relative to ``max(sigma_max, ||H||)``: for H within rounding
+    of a multiple of the identity, sigma_max is itself rounding noise.
     """
     herm = _hermitian_basis(Hm.shape[0])
     image = (Hm.conj().T @ herm - herm @ Hm).reshape(len(herm), -1)
     F = np.concatenate([image.real, image.imag], axis=1).T
     _, svals, Vt = np.linalg.svd(F, full_matrices=False)
-    return np.tensordot(Vt[svals <= tol * svals[0]], herm, axes=1)
+    return np.tensordot(Vt[svals <= tol * max(svals[0], mc.fro(Hm))], herm, axes=1)
 
 
-def _eigensolve_disagreement(Hm: np.ndarray, spectral: mc.SpectralData, scale: float) -> float:
-    """``span_residual``: H's left eigenvectors against an eigensolve of ``H^dagger``.
+def _eigensolve_disagreement(
+    Hm: np.ndarray, eigenvalues: np.ndarray, Q: np.ndarray, same: np.ndarray, scale: float
+) -> float:
+    """``span_residual``: cluster spans of H's left vectors against ``eig(H^dagger)``.
 
-    The pairs are matched by sorting the conjugate eigenvalues with
-    ``matrixcore.eig``'s (real, imaginary) key; ``np.linalg.eig`` returns
-    unit columns.  The phase-aligned difference of unit vectors stays at
-    rounding level; the cancelling form ``sqrt(1 - |<L|v>|^2)`` would floor
-    near 1.5e-8.
+    ``Q`` holds H's unit left vectors, orthonormalized within each cluster;
+    ``same[m, n]`` says whether m and n share one.  Pairs are matched by
+    sorting the conjugate eigenvalues with ``matrixcore.eig``'s key.  The
+    projection residual is a vector difference, so it stays at rounding
+    level where ``sqrt(1 - |<L|v>|^2)`` would floor near 1.5e-8.
     """
     mu, V = np.linalg.eig(Hm.conj().T)
     mu = mu.conj()
     order = np.lexsort((mu.imag, mu.real))
     mu, V = mu[order], V[:, order]
-    L = spectral.left_vectors / np.linalg.norm(spectral.left_vectors, axis=0)
-    phase = np.exp(1j * np.angle(np.sum(L.conj() * V, axis=0)))
-    vectors = float(np.linalg.norm(V - phase * L, axis=0).max())
-    drift = mc.entry_norm(mu - spectral.eigenvalues)
+    vectors = float(np.linalg.norm(V - Q @ ((Q.conj().T @ V) * same), axis=0).max())
+    drift = mc.entry_norm(mu - eigenvalues)
     return max(vectors, drift / scale if drift else 0.0)
 
 
@@ -146,17 +138,17 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
     Parameters
     ----------
     H : array_like
-        Square Hamiltonian with (numerically) real spectrum.
+        Square diagonalizable Hamiltonian with (numerically) real spectrum.
     tol : float
         Relative threshold used for the spectral-reality precondition, the
-        null-space singular-value cut and the degeneracy gap test.
+        eigenvalue clustering and the on-demand null-space singular-value cut.
 
     Returns
     -------
     MetricFamily
-        For nondegenerate spectra the spectral projector basis with all-ones
-        default weights (the null-space basis follows on demand); otherwise
-        the null-space basis alone.
+        The cluster basis (projectors first, then the within-cluster pair
+        elements) with all-ones default weights on the projectors; the
+        null-space basis follows on demand.
 
     Raises
     ------
@@ -169,9 +161,8 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
         When the left eigenvectors of H and the separately computed right
         eigenvectors of ``H^dagger`` disagree beyond 1e-8.
 
-    Warns with DegenerateSpectrumWarning and skips the spectral path when the
-    smallest eigenvalue gap falls below ``tol * ||H||``; the null-space basis
-    is then built at once, since it is the only basis.
+    Warns with DegenerateSpectrumWarning when some eigenvalue gap falls
+    below ``tol * ||H||``, i.e. when a cluster has more than one member.
     """
     Hm = mc.as_square_matrix(H, "H")
     if tol <= 0:
@@ -180,33 +171,43 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
     scale = mc.fro(Hm)
 
     spectral = mc.eig(Hm)
-    max_imag = float(np.abs(spectral.eigenvalues.imag).max())
-    if max_imag > tol * max(scale, 1e-300):
+    max_imag, imag_ratio = mc.spectrum_imag(spectral.eigenvalues, scale)
+    if imag_ratio > tol:
         raise ComplexSpectrum(
             f"max |Im eigenvalue| {max_imag:.3e} exceeds {tol:.1e} * ||H||"
         )
 
-    degenerate = spectral.min_gap() < tol * max(scale, 1e-300)
+    gaps = np.abs(np.diff(spectral.eigenvalues))
+    labels = np.concatenate(([0], np.cumsum(gaps >= tol * max(scale, 1e-300))))
+    Lv = spectral.left_vectors
+    basis = Lv.T[:, :, None] * Lv.T[:, None, :].conj()      # |L_n><L_n|
+    Q = Lv / np.linalg.norm(Lv, axis=0)
+    degenerate = bool(labels[-1] + 1 < dim)
     if degenerate:
         warnings.warn(
-            "eigenvalue gap below tolerance; spectral metric path skipped",
+            "eigenvalue gap below tolerance; metric family built per eigenvalue cluster",
             DegenerateSpectrumWarning,
             stacklevel=2,
         )
-        basis, spectral, residual = _null_space(Hm, tol), None, None
-    else:
-        Lv = spectral.left_vectors
-        basis = Lv.T[:, :, None] * Lv.T[:, None, :].conj()      # |L_n><L_n|
-        residual = _eigensolve_disagreement(Hm, spectral, scale)
-        if residual > SPAN_AGREEMENT_TOL:
-            raise SpanMismatch(
-                f"eigensolves of H and H^dagger disagree by {residual:.3e}"
-            )
+        i, j = np.triu_indices(dim, 1)
+        same_cluster = labels[i] == labels[j]
+        i, j = i[same_cluster], j[same_cluster]
+        outer = Lv.T[i, :, None] * Lv.T[j, None, :].conj()    # |L_i><L_j|
+        adjoint = outer.conj().transpose(0, 2, 1)
+        pairs = np.stack([outer + adjoint, 1j * (outer - adjoint)], axis=1) / np.sqrt(2.0)
+        basis = np.concatenate([basis, pairs.reshape(-1, dim, dim)])
+        for b in np.unique(labels[i]):
+            Q[:, labels == b] = np.linalg.qr(Q[:, labels == b])[0]
+    residual = _eigensolve_disagreement(
+        Hm, spectral.eigenvalues, Q, labels[:, None] == labels, scale
+    )
+    if residual > SPAN_AGREEMENT_TOL:
+        raise SpanMismatch(f"eigensolves of H and H^dagger disagree by {residual:.3e}")
     return MetricFamily(
         dim=dim,
         basis=tuple(basis),
         spectral=spectral,
-        kappa_default=np.ones(len(basis)),
+        kappa_default=np.ones(dim),
         degenerate=degenerate,
         span_residual=residual,
         hamiltonian=Hm,
@@ -217,17 +218,15 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
 def metric_from_weights(family: MetricFamily, kappa) -> np.ndarray:
     """Assemble ``Theta = sum_n kappa_n |L_n><L_n|`` from positive weights.
 
-    Positive weights on the left-eigenvector projectors give a Hermitian
-    positive-definite metric whenever the spectrum is real and nondegenerate.
+    One weight per eigenvalue (``family.dim`` of them): the block-diagonal
+    members of the cluster family, ``K_b = diag(kappa)`` on each cluster.
+    Positive weights give a Hermitian positive-definite metric whenever H is
+    diagonalizable with a real spectrum.
     """
-    if family.spectral is None:
-        raise SpectralPathUnavailable(
-            "no spectral projector basis (degenerate or skipped spectrum)"
-        )
     k = np.asarray(kappa, dtype=float).reshape(-1)
-    if k.shape[0] != len(family.basis):
+    if k.shape[0] != family.dim:
         raise DimensionMismatch(
-            f"{k.shape[0]} weights for a basis of size {len(family.basis)}"
+            f"{k.shape[0]} weights for {family.dim} left eigenvectors"
         )
     if np.any(k <= 0.0) or not np.all(np.isfinite(k)):
         raise NonPositiveWeight("all metric weights must be finite and > 0")

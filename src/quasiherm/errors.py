@@ -41,10 +41,6 @@ class NonPositiveWeight(QuasihermError):
     """Metric weights must be strictly positive."""
 
 
-class SpectralPathUnavailable(QuasihermError):
-    """The spectral construction is undefined (degenerate or skipped spectrum)."""
-
-
 class NotHermitianParameter(QuasihermError):
     """An operator parameter must be Hermitian."""
 
@@ -86,4 +82,4 @@ class InputFormatError(QuasihermError):
 
 
 class DegenerateSpectrumWarning(UserWarning):
-    """Eigenvalue gap below tolerance: spectral-path constructions were skipped."""
+    """Eigenvalue gap below tolerance: the metric family has a multi-member cluster."""

@@ -135,12 +135,6 @@ class SpectralData:
         """Reassemble ``sum_n lambda_n |R_n><L_n|``."""
         return (self.right_vectors * self.eigenvalues) @ self.left_vectors.conj().T
 
-    def min_gap(self) -> float:
-        """Smallest distance between consecutive sorted eigenvalues."""
-        if self.dim < 2:
-            return np.inf
-        return float(np.abs(np.diff(self.eigenvalues)).min())
-
 
 def eig(A) -> SpectralData:
     """Eigendecompose with deterministic ordering and biorthonormal bases.
@@ -184,6 +178,16 @@ def eig(A) -> SpectralData:
     return SpectralData(w, R, Rinv.conj().T, cond)
 
 
+def spectrum_imag(eigenvalues, scale: float) -> tuple[float, float]:
+    """``(max |Im lambda|, max |Im lambda| / max(scale, 1e-300))`` of computed eigenvalues.
+
+    The one spectral-reality measure: with ``scale = fro(H)``, the spectrum
+    counts as real when the ratio is at most the caller's tolerance.
+    """
+    max_imag = float(np.abs(np.asarray(eigenvalues).imag).max())
+    return max_imag, max_imag / max(scale, 1e-300)
+
+
 def is_positive_definite(A, tol: float) -> tuple[bool, float]:
     """Test positive definiteness of a Hermitian matrix.
 
@@ -196,10 +200,9 @@ def is_positive_definite(A, tol: float) -> tuple[bool, float]:
     M = as_square_matrix(A)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if hermitian_defect(M) > tol:
-        raise NotHermitian(
-            f"Hermitian defect {hermitian_defect(M):.3e} exceeds tol {tol:.1e}"
-        )
+    defect = hermitian_defect(M)
+    if defect > tol:
+        raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds tol {tol:.1e}")
     lam_min = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
     return lam_min > tol, lam_min
 

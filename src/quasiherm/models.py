@@ -24,7 +24,6 @@ from .errors import (
     ComplexSpectrum,
     DefectiveMatrix,
     SpanMismatch,
-    SpectralPathUnavailable,
     ZeroParameter,
 )
 
@@ -155,11 +154,12 @@ def random_qh(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded quasi-Hermitian Hamiltonian with a positive metric witness.
 
     Draws a Hermitian ``h`` (rejecting near-degenerate spectra) and an
-    invertible ``Omega`` (rejecting condition numbers above 50), then returns
-    ``qh_pair(h, Omega)``.  Fixed seed implies fixed matrices.
+    invertible ``Omega`` (rejecting condition numbers above
+    ``50 * max(1, d/32)^2``), then returns ``qh_pair(h, Omega)``.  Fixed seed
+    implies fixed matrices.
 
     Raises BadDimension when either draw is rejected ``_MAX_DRAWS`` times in
-    a row, as happens to ``Omega`` at d = 64.
+    a row.
     """
     if int(d) != d or d < 2:
         raise BadDimension("random_qh needs d >= 2")
@@ -172,12 +172,15 @@ def random_qh(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
             break
     else:
         raise BadDimension(f"random_qh({d}): {_MAX_DRAWS} h draws missed the gap floor")
+    cond_cap = _OMEGA_COND_LIMIT * max(1.0, d / 32) ** 2
     for _ in range(_MAX_DRAWS):
         omega = rng.complex_normal_matrix(d)
-        if np.linalg.cond(omega) <= _OMEGA_COND_LIMIT:
+        if np.linalg.cond(omega) <= cond_cap:
             break
     else:
-        raise BadDimension(f"random_qh({d}): {_MAX_DRAWS} Omega draws had cond > 50")
+        raise BadDimension(
+            f"random_qh({d}): {_MAX_DRAWS} Omega draws had cond > {cond_cap:g}"
+        )
     return qh_pair(h, omega)
 
 
@@ -201,9 +204,8 @@ def spectral_reality(H, tol: float) -> tuple[bool, float]:
     Propagates DefectiveMatrix from the eigensolver at exceptional points.
     """
     Hm = mc.as_square_matrix(H, "H")
-    sd = mc.eig(Hm)
-    max_imag = float(np.abs(sd.eigenvalues.imag).max())
-    return max_imag <= tol * max(mc.fro(Hm), 1e-300), max_imag
+    max_imag, ratio = mc.spectrum_imag(mc.eig(Hm).eigenvalues, mc.fro(Hm))
+    return ratio <= tol, max_imag
 
 
 @dataclass(frozen=True)
@@ -245,7 +247,7 @@ def _phase_flags(H, tol: float) -> tuple[bool, bool]:
     try:
         family = solve_metric_space(H, tol=max(tol, 1e-12))
         theta = metric_from_weights(family, family.kappa_default)
-    except (ComplexSpectrum, DefectiveMatrix, SpanMismatch, SpectralPathUnavailable):
+    except (ComplexSpectrum, DefectiveMatrix, SpanMismatch):
         return True, False
     positive, _ = mc.positive_metric(theta)
     admissible = check_quasi_hermitian(H, theta) <= 1e-8

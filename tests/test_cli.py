@@ -5,6 +5,7 @@ import pytest
 
 from quasiherm import matrixcore as mc
 from quasiherm.cli import main
+from quasiherm.errors import DegenerateSpectrumWarning
 from quasiherm.models import parity, pt_chain, random_qh, toy_2x2
 
 
@@ -230,6 +231,16 @@ def test_metric_large_dimension_passes(tmp_path):
     report = json.loads(out.read_text())
     assert report["solution_space_dim"] == 64
     assert report["span_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("command", ["metric", "chain", "evolve"])
+@pytest.mark.parametrize("diagonal", [[1.0, 1.0, 1.0], [1.0, 1.0, 2.0]], ids=["I3", "1-1-2"])
+def test_degenerate_spectrum_passes(command, diagonal, tmp_path):
+    argv = evolve_files(tmp_path, np.diag(diagonal), [1.0, 0.5, -0.25])
+    if command != "evolve":
+        argv = [command, *argv[1:3]]
+    with pytest.warns(DegenerateSpectrumWarning):
+        assert run(argv + ["--out", str(tmp_path / "out.json")]) == 0
 
 
 def test_chain_wrong_param_count_exits_two(toy_file, parity_params_file):

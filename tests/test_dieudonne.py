@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from quasiherm.dieudonne import (
 )
 from quasiherm.errors import (
     ComplexSpectrum,
+    DefectiveMatrix,
     DegenerateSpectrumWarning,
     DimensionMismatch,
     NonPositiveWeight,
     SpanMismatch,
-    SpectralPathUnavailable,
 )
 from quasiherm.models import pt_chain, random_qh, toy_2x2, toy_2x2_metric
 
@@ -67,15 +68,79 @@ def test_solve_rejects_complex_spectrum():
         solve_metric_space(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-def test_solve_degenerate_spectrum_keeps_oracle_path():
+def test_solve_degenerate_spectrum_gives_block_family():
     with pytest.warns(DegenerateSpectrumWarning):
         family = solve_metric_space(np.eye(3))
     assert family.degenerate
-    assert family.spectral is None
     # every Hermitian matrix solves the equation for H = I
     assert len(family.oracle_basis) == 9
-    with pytest.raises(SpectralPathUnavailable):
+    assert len(family.basis) == 9
+    theta = metric_from_weights(family, family.kappa_default)
+    assert mc.positive_metric(theta)[0]
+    assert check_quasi_hermitian(np.eye(3), theta) <= 1e-10
+    # one weight per eigenvalue, not per basis element
+    with pytest.raises(DimensionMismatch):
         metric_from_weights(family, np.ones(9))
+
+
+def similar_to_diagonal(eigenvalues, seed):
+    """``Omega^-1 diag(eigenvalues) Omega`` with singular values of Omega in [1, 3]."""
+    d = len(eigenvalues)
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return np.linalg.qr(G)[0]
+
+    omega = (unitary() * rng.uniform(1.0, 3.0, size=d)) @ unitary()
+    return np.linalg.solve(omega, np.diag(eigenvalues).astype(complex) @ omega)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(lambda m: sum(m) <= 6),
+)
+def test_cluster_family_spans_the_null_space(seed, multiplicities):
+    rng = np.random.default_rng(seed)
+    levels = np.cumsum(rng.uniform(0.5, 1.5, size=len(multiplicities)))
+    H = similar_to_diagonal(np.repeat(levels, multiplicities), seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateSpectrumWarning)
+        family = solve_metric_space(H)
+    assert family.degenerate == (max(multiplicities) > 1) == bool(caught)
+    size = sum(m * m for m in multiplicities)
+    assert len(family.basis) == size == len(family.oracle_basis)
+    assert span_residual(family.oracle_basis, family.basis) <= 1e-8
+    theta = metric_from_weights(family, family.kappa_default)
+    assert mc.positive_metric(theta)[0]
+    assert check_quasi_hermitian(H, theta) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        [[1.0, 1.0], [0.0, 1.0]],
+        [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0]],
+    ],
+    ids=["jordan2", "jordan2+same", "jordan2+other"],
+)
+def test_defective_degenerate_spectrum_still_raises(H):
+    with pytest.raises(DefectiveMatrix):
+        solve_metric_space(np.array(H))
+
+
+def test_large_dimension_doubled_eigenvalue():
+    eigenvalues = np.concatenate([[0.0], np.arange(63.0)])
+    H = similar_to_diagonal(eigenvalues, 64)
+    with pytest.warns(DegenerateSpectrumWarning):
+        family = solve_metric_space(H)
+    assert len(family.basis) == 66
+    assert family.span_residual <= 1e-8
+    theta = metric_from_weights(family, family.kappa_default)
+    assert mc.positive_metric(theta)[0]
+    assert check_quasi_hermitian(H, theta) <= 1e-10
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])

@@ -201,8 +201,14 @@ def test_pd_indefinite():
 
 
 def test_pd_requires_hermitian():
-    with pytest.raises(NotHermitian):
+    with pytest.raises(NotHermitian, match="defect 1.000e[+]00 "):
         mc.is_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-12)
+
+
+def test_spectrum_imag_is_relative_to_the_scale_floor():
+    assert mc.spectrum_imag(np.array([1.0, 2.0 + 0.5j, 3.0 - 1.5j]), 3.0) == (1.5, 0.5)
+    assert mc.spectrum_imag(np.array([0.0, 1e-310j]), 0.0) == (1e-310, 1e-310 / 1e-300)
+    assert mc.spectrum_imag(np.array([2.0, 5.0]), 7.0) == (0.0, 0.0)
 
 
 def test_pd_rejects_nonpositive_tol():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quasiherm import matrixcore as mc
+from quasiherm import models
 from quasiherm.dieudonne import check_quasi_hermitian
 from quasiherm.errors import BadDimension, BadRange, DefectiveMatrix, ZeroParameter
 from quasiherm.models import (
@@ -134,10 +135,18 @@ def test_random_qh_identity_similarity_path():
     np.testing.assert_allclose(theta, np.eye(4), atol=0.0)
 
 
-def test_random_qh_refuses_a_dimension_it_cannot_draw():
-    # at d = 64 essentially no Omega draw has cond <= 50: raise, do not hang
-    with pytest.raises(BadDimension, match="Omega"):
-        random_qh(64, 1)
+def test_random_qh_refuses_a_dimension_it_cannot_draw(monkeypatch):
+    # with a cap of 1 no Omega draw qualifies (cond >= 1): raise, do not hang
+    monkeypatch.setattr(models, "_OMEGA_COND_LIMIT", 1.0)
+    with pytest.raises(BadDimension, match="Omega draws had cond > 1$"):
+        random_qh(8, 1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_qh_draws_at_large_dimension(seed):
+    H, theta = random_qh(64, seed)
+    assert H.shape == theta.shape == (64, 64)
+    assert check_quasi_hermitian(H, theta) <= 1e-10
 
 
 def test_random_qh_fixed_seed_is_bit_stable():
