@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -47,25 +48,35 @@ from .models import (
 _DRAW_SEED_OFFSET = 0x5EED
 
 
+def _finite(text: str) -> float:
+    """argparse type for float flags: NaN and +-inf are input errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasiherm",
         description="metric operators and observable chains for "
         "quasi-Hermitian Hamiltonians",
     )
+    parser.set_defaults(format="json")  # for the commands that have no CSV form
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_input=True):
+    def common(p, *, needs_input=True, csv=False):
         if needs_input:
             p.add_argument("--input", required=True, help="matrix JSON file")
-        p.add_argument("--tol", type=float, default=1e-9, help="pass tolerance")
+        p.add_argument("--tol", type=_finite, default=1e-9, help="pass tolerance")
         p.add_argument("--out", default=None, help="report file (default stdout)")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json", help="report format"
-        )
+        if csv:
+            p.add_argument(
+                "--format", choices=("json", "csv"), default="json", help="report format"
+            )
 
     p = sub.add_parser("analyze", help="eigenvalues and spectral reality")
-    common(p)
+    common(p, csv=True)
 
     p = sub.add_parser("metric", help="metric solution family and default metric")
     common(p)
@@ -80,16 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("evolve", help="propagate the dual pair and certify the norm")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--state", required=True, help="initial state vector JSON file")
-    p.add_argument("--t-max", type=float, default=10.0, help="final time")
+    p.add_argument("--t-max", type=_finite, default=10.0, help="final time")
     p.add_argument("--samples", type=int, default=101, help="number of time samples")
 
     p = sub.add_parser("sweep", help="reality/positivity sweep of the lattice family")
-    common(p, needs_input=False)
+    common(p, needs_input=False, csv=True)
     p.add_argument("--dim", type=int, default=2, help="lattice size of the family")
-    p.add_argument("--range-lo", type=float, required=True, help="sweep start")
-    p.add_argument("--range-hi", type=float, required=True, help="sweep end")
+    p.add_argument("--range-lo", type=_finite, required=True, help="sweep start")
+    p.add_argument("--range-hi", type=_finite, required=True, help="sweep end")
     p.add_argument("--samples", type=int, default=21, help="grid points")
 
     p = sub.add_parser("suite", help="seeded random-ensemble property run")
@@ -102,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, report: dict, csv_text: str | None = None) -> None:
-    if args.format == "csv" and csv_text is not None:
+    if args.format == "csv":
         payload = csv_text
     else:
         payload = json.dumps(report, indent=2) + "\n"

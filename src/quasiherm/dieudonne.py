@@ -165,8 +165,8 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
     below ``tol * ||H||``, i.e. when a cluster has more than one member.
     """
     Hm = mc.as_square_matrix(H, "H")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     dim = Hm.shape[0]
     scale = mc.fro(Hm)
 

@@ -118,18 +118,17 @@ class SpectralData:
 
     ``right_vectors`` holds the right eigenvectors as columns ``|R_n>`` with
     unit 2-norm; ``left_vectors`` holds columns ``|L_n>`` scaled so that
-    ``<L_m|R_n> = delta_mn``.  ``condition_estimate`` is the 2-norm condition
-    number of the right eigenvector matrix.
+    ``<L_m|R_n> = delta_mn``.  ``condition_estimate`` is ``max_n ||L_n||``,
+    the largest Wilkinson eigenvalue condition number: the reciprocal of the
+    smallest raw overlap that ``eig``'s defect gate tests.  With unit right
+    columns it lies in ``[cond_2(R)/dim, cond_2(R)]`` and is 1 for a normal
+    matrix.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     condition_estimate: float
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def reconstruct(self) -> np.ndarray:
         """Reassemble ``sum_n lambda_n |R_n><L_n|``."""
@@ -157,9 +156,9 @@ def eig(A) -> SpectralData:
     w = w[order]
     R = R[:, order]
     R = R / np.linalg.norm(R, axis=0)
-    for n in range(M.shape[0]):
-        pivot = R[np.argmax(np.abs(R[:, n])), n]
-        R[:, n] *= np.conj(pivot) / abs(pivot)
+    pivot = R[np.abs(R).argmax(axis=0), np.arange(M.shape[0])]
+    # hypot, not np.abs: it rounds |pivot| as the scalar abs() does
+    R = R * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
     try:
         Rinv = inverse(R)
     except SingularMatrix as exc:
@@ -174,8 +173,7 @@ def eig(A) -> SpectralData:
             f"left/right overlap {raw_overlap.min():.3e} below "
             f"{DEFECT_OVERLAP_TOL:.0e}: input is defective"
         )
-    cond = float(np.linalg.norm(R, 2) * np.linalg.norm(Rinv, 2))
-    return SpectralData(w, R, Rinv.conj().T, cond)
+    return SpectralData(w, R, Rinv.conj().T, float(1.0 / raw_overlap.min()))
 
 
 def spectrum_imag(eigenvalues, scale: float) -> tuple[float, float]:
@@ -198,8 +196,8 @@ def is_positive_definite(A, tol: float) -> tuple[bool, float]:
     Raises NotHermitian when the Hermitian defect of A itself exceeds ``tol``.
     """
     M = as_square_matrix(A)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     defect = hermitian_defect(M)
     if defect > tol:
         raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds tol {tol:.1e}")

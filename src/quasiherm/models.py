@@ -236,13 +236,17 @@ class SweepResult:
         return buf.getvalue()
 
 
+def _real_phase(H, tol: float) -> bool:
+    """``spectral_reality``'s flag, False at an exceptional point."""
+    try:
+        return spectral_reality(H, tol)[0]
+    except DefectiveMatrix:
+        return False
+
+
 def _phase_flags(H, tol: float) -> tuple[bool, bool]:
     """(reality, positivity-of-the-all-ones spectral metric) for one matrix."""
-    try:
-        real, _ = spectral_reality(H, tol)
-    except DefectiveMatrix:
-        return False, False
-    if not real:
+    if not _real_phase(H, tol):
         return False, False
     try:
         family = solve_metric_space(H, tol=max(tol, 1e-12))
@@ -265,8 +269,8 @@ def sweep_exceptional(
     fails at ``hi``, the first grid sign change is refined by bisection to an
     absolute uncertainty of 1e-6.
     """
-    if not lo < hi:
-        raise BadRange(f"need lo < hi, got [{lo}, {hi}]")
+    if not (lo < hi and np.isfinite(float(hi) - float(lo))):
+        raise BadRange(f"need lo < hi a finite distance apart, got [{lo}, {hi}]")
     if int(samples) != samples or samples < 2:
         raise BadRange("need at least 2 samples")
     grid = np.linspace(lo, hi, int(samples))
@@ -281,16 +285,9 @@ def sweep_exceptional(
     if reality[0] and not reality[-1]:
         flip = next(i for i in range(len(grid) - 1) if reality[i] and not reality[i + 1])
         a, b = float(grid[flip]), float(grid[flip + 1])
-
-        def _real(x: float) -> bool:
-            try:
-                return spectral_reality(family(x), tol)[0]
-            except DefectiveMatrix:
-                return False
-
         while b - a > 1e-6:
             midpoint = (a + b) / 2.0
-            if _real(midpoint):
+            if _real_phase(family(midpoint), tol):
                 a = midpoint
             else:
                 b = midpoint

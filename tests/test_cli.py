@@ -1,7 +1,11 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiherm import matrixcore as mc
 from quasiherm.cli import main
@@ -440,3 +444,89 @@ def test_suite_small_run(tmp_path):
     assert report["pass"] is True
     assert len(report["systems"]) == 6
     assert max(report["worst_residuals"].values()) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# flag validation and exit-code properties
+# ---------------------------------------------------------------------------
+
+def exit_code(argv):
+    """``main``'s status, including argparse's exit on a refused flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("analyze", "--tol", "nan"),
+        ("suite", "--tol", "inf"),
+        ("evolve", "--t-max", "inf"),
+        ("evolve", "--t-max", "nan"),
+        ("sweep", "--range-hi", "inf"),
+        ("sweep", "--range-lo", "nan"),
+    ],
+)
+def test_nonfinite_value_exits_two_naming_its_flag(tmp_path, capsys, command, flag, value):
+    evolve = evolve_files(tmp_path, toy_2x2(2.0), [1.0, 0.0])
+    valid = {
+        "analyze": ["analyze", "--input", evolve[2]],
+        "evolve": evolve,
+        "sweep": ["sweep", "--range-lo", "0", "--range-hi", "2"],
+        "suite": ["suite", "--samples", "1"],
+    }[command]
+    assert exit_code(valid + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: {value!r} is not a finite number" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["metric", "chain", "verify", "suite"])
+def test_format_is_refused_where_no_csv_exists(toy_file, capsys, command):
+    argv = [command] + ([] if command == "suite" else ["--input", toy_file])
+    assert exit_code(argv + ["--format", "csv"]) == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+MALFORMED = {
+    "truncated re": lambda obj: {**obj, "re": obj["re"][:-1]},
+    "dim mismatch": lambda obj: {**obj, "dim": obj["dim"] + 1},
+    "missing im": lambda obj: {"dim": obj["dim"], "re": obj["re"]},
+    "nan entry": lambda obj: {**obj, "re": [float("nan")] + obj["re"][1:]},
+}
+
+
+def write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 8),
+    st.integers(1, 5),
+    st.sampled_from(sorted(MALFORMED)),
+    st.sampled_from(["analyze", "metric", "chain"]),
+)
+def test_exit_codes_property(seed, dim, N, malformation, command):
+    H, _ = random_qh(dim, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix, chain, bad = (os.path.join(tmp, f) for f in ("H.json", "chain.json", "bad.json"))
+        write_json(matrix, mc.matrix_to_json(H))
+        quiet = ["--out", os.devnull]
+        assert main(["analyze", "--input", matrix] + quiet) == 0
+        argv = ["chain", "--input", matrix, "--n-factors", str(N), "--seed", str(seed)]
+        assert main(argv + ["--out", chain]) == 0
+        assert main(["verify", "--input", chain] + quiet) == 0
+
+        report = mc.read_json(chain, "chain")
+        factor = report["chain"]["factors"][seed % N]
+        factor["re"][0] += 0.1 * max(map(abs, factor["re"] + factor["im"]))
+        write_json(chain, report)
+        assert main(["verify", "--input", chain] + quiet) == 1
+
+        write_json(bad, MALFORMED[malformation](mc.matrix_to_json(H)))
+        assert main([command, "--input", bad] + quiet) == 2

@@ -404,3 +404,10 @@ def test_inner_product_hermitian_symmetry_and_positivity(seed):
     # conjugate-linearity in the first argument
     scaled = physical_inner_product(2j * a, b, theta)
     assert scaled == pytest.approx(-2j * ab, abs=1e-12 * abs(ab))
+
+
+@pytest.mark.parametrize("tol", [0.0, np.nan, np.inf])
+def test_solve_rejects_nonpositive_or_nonfinite_tol(tol):
+    # a complex spectrum: a tolerance that passed here would admit it
+    with pytest.raises(ValueError, match="finite"):
+        solve_metric_space(pt_chain(4, 1.5), tol=tol)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiherm import matrixcore as mc
 from quasiherm.dieudonne import metric_from_weights, solve_metric_space
@@ -161,6 +163,15 @@ def test_trajectory_invariants_random_pairs(seed):
         assert np.linalg.norm(dual - want) <= 1e-9 * mc.fro(theta) * np.linalg.norm(
             record.states[k]
         )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+def test_trajectory_drift_and_dual_residual_property(seed, dim):
+    H, theta, psi0 = random_triple(seed, dim)
+    record = norm_trajectory(H, theta, psi0, np.linspace(0.0, 10.0, 21))
+    assert record.drift <= 1e-8
+    assert record.dual_residual <= 1e-8
 
 
 def test_trajectory_serialization_shapes():

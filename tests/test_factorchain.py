@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiherm import matrixcore as mc
 from quasiherm.dieudonne import check_quasi_hermitian, metric_from_weights, solve_metric_space
@@ -224,6 +226,14 @@ def test_verify_passes_on_exact_chains(dim, N):
     for seed in range(5):
         report = verify_chain(random_chain(dim, N, 7 * seed + 100 * N + dim), 1e-9)
         assert report.overall_pass, report.failed()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 5))
+def test_ladder_and_theorem1_residuals_property(seed, dim, N):
+    chain = random_chain(dim, N, seed)
+    for report in (verify_chain(chain, 1e-9), verify_theorem1(chain, 1e-9)):
+        assert max(r.residual for r in report.relations) <= 1e-9, report.failed()
 
 
 def _predicted_failures(chain, corrupt_index):

@@ -15,6 +15,7 @@ from quasiherm.errors import (
     NotHermitian,
     SingularMatrix,
 )
+from quasiherm.models import pt_chain, random_qh, toy_2x2
 
 RNG_SEEDS = range(12)
 
@@ -181,6 +182,84 @@ def test_eig_biorthonormality_and_reconstruction(seed, dim):
     assert mc.fro(sd.reconstruct() - A) <= 1e-9 * mc.fro(A)
 
 
+def loop_gauge_eig(A):
+    """``eig`` with its former per-column gauge loop: the bitwise reference.
+
+    Returns None where the defect gate fires.
+    """
+    w, R = np.linalg.eig(np.asarray(A, dtype=complex))
+    order = np.lexsort((w.imag, w.real))
+    w, R = w[order], R[:, order]
+    R = R / np.linalg.norm(R, axis=0)
+    for n in range(R.shape[1]):
+        pivot = R[np.argmax(np.abs(R[:, n])), n]
+        R[:, n] *= np.conj(pivot) / abs(pivot)
+    try:
+        Rinv = mc.inverse(R)
+    except SingularMatrix:
+        return None
+    if np.any(1.0 / np.linalg.norm(Rinv, axis=1) < mc.DEFECT_OVERLAP_TOL):
+        return None
+    return w, R, Rinv.conj().T
+
+
+@st.composite
+def eig_inputs(draw):
+    """Complex, quasi-Hermitian, gain/loss-chain and degenerate Hermitian inputs."""
+    kind = draw(st.sampled_from(["complex", "random_qh", "pt_chain", "degenerate"]))
+    d = draw(st.integers(1 if kind in ("complex", "degenerate") else 2, 16))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "complex":
+        return random_complex(rng, d)
+    if kind == "random_qh":
+        return random_qh(d, seed)[0]
+    if kind == "pt_chain":
+        return pt_chain(d, draw(st.floats(0.0, 2.5)))
+    U = np.linalg.qr(random_complex(rng, d))[0]
+    return (U * rng.integers(0, 3, d)) @ U.conj().T
+
+
+@settings(max_examples=300, deadline=None)
+@given(eig_inputs())
+def test_eig_matches_loop_gauge_bit_for_bit(A):
+    reference = loop_gauge_eig(A)
+    if reference is None:
+        with pytest.raises(DefectiveMatrix):
+            mc.eig(A)
+        return
+    sd = mc.eig(A)
+    for got, want in zip((sd.eigenvalues, sd.right_vectors, sd.left_vectors), reference):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eig_inputs())
+def test_eig_condition_estimate_is_the_gated_overlap(A):
+    try:
+        sd = mc.eig(A)
+    except DefectiveMatrix:
+        return
+    overlap = 1.0 / np.linalg.norm(sd.left_vectors.conj().T, axis=1)
+    assert sd.condition_estimate == 1.0 / overlap.min()
+    cond = np.linalg.cond(sd.right_vectors)
+    assert cond / A.shape[0] <= sd.condition_estimate * (1.0 + 1e-9)
+    assert sd.condition_estimate <= cond * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("g", [1e-3, 0.1, 0.5, 1.0, 2.0, -3.0, 1e3])
+def test_eig_condition_estimate_of_toy_model(g):
+    want = (1.0 + g * g) / (2.0 * abs(g))
+    assert mc.eig(toy_2x2(g)).condition_estimate == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 16))
+def test_eig_condition_estimate_is_one_for_hermitian_input(seed, d):
+    G = random_complex(np.random.default_rng(seed), d)
+    assert mc.eig((G + G.conj().T) / 2.0).condition_estimate == pytest.approx(1.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # is_positive_definite
 # ---------------------------------------------------------------------------
@@ -214,6 +293,12 @@ def test_spectrum_imag_is_relative_to_the_scale_floor():
 def test_pd_rejects_nonpositive_tol():
     with pytest.raises(ValueError):
         mc.is_positive_definite(np.eye(2), 0.0)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_pd_rejects_nonfinite_tol(tol):
+    with pytest.raises(ValueError, match="finite"):
+        mc.is_positive_definite(np.eye(2), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,14 @@ def test_sweep_rejects_bad_ranges():
         sweep_exceptional(lambda g: pt_chain(2, g), 0.0, 2.0, 1)
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, np.inf), (-np.inf, 2.0), (np.nan, 2.0), (0.0, np.nan), (-1e308, 1e308)]
+)
+def test_sweep_rejects_nonfinite_ranges(lo, hi):
+    with pytest.raises(BadRange, match="finite"):
+        sweep_exceptional(lambda g: pt_chain(2, g), lo, hi, 5)
+
+
 def test_sweep_serialization():
     result = sweep_exceptional(lambda g: pt_chain(2, g), 0.0, 2.0, 5)
     lines = result.to_csv().strip().split("\n")
