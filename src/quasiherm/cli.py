@@ -46,6 +46,8 @@ from .models import (
 
 #: offset mixed into CLI seeds so weight/parameter draws differ from random_qh
 _DRAW_SEED_OFFSET = 0x5EED
+#: the flags parsed by ``_finite``, whose values may be negative
+_FLOAT_FLAGS = ("--tol", "--t-max", "--range-lo", "--range-hi")
 
 
 def _finite(text: str) -> float:
@@ -54,6 +56,22 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag VALUE`` as ``--flag=VALUE`` for the float flags (or a
+    prefix of exactly one, which argparse takes as its abbreviation).
+
+    argparse takes a value such as ``-1e-3`` for an option unless it matches
+    a negative-number pattern that differs between Python versions.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and sum(flag.startswith(joined[-1]) for flag in _FLOAT_FLAGS) == 1:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,7 +358,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     started = time.perf_counter()
     try:
         if args.tol <= 0:

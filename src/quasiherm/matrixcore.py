@@ -4,8 +4,9 @@ Everything in this package manipulates plain ``numpy.ndarray`` objects of
 dtype complex128.  This module owns the validation helpers (including the
 one operand-pair gate ``square_pair`` and the one admissible-metric gate
 ``require_positive_metric``), the biorthogonal eigendecomposition,
-inversion, the package's one matrix exponential and the JSON interchange
-format used by every other module and the CLI.
+inversion, the package's one matrix exponential (its Pade routine is
+imported on the first call, so importing this module loads numpy alone)
+and the JSON interchange format used by every other module and the CLI.
 
 All functions are pure: inputs are never mutated and no module state exists,
 so concurrent calls from independent tasks are safe.
@@ -15,11 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DefectiveMatrix,
@@ -33,7 +32,7 @@ from .errors import (
 
 #: raw left/right overlap below which a matrix is declared non-diagonalizable
 DEFECT_OVERLAP_TOL = 1e-12
-#: pivots below this fraction of the max-entry norm abort the elimination
+#: reciprocal 1-norm condition number an invertible matrix must exceed
 PIVOT_RTOL = 1e-14
 
 
@@ -67,7 +66,7 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def entry_norm(A) -> float:
-    """Largest entry magnitude (the norm used for Hermitian defects and pivots)."""
+    """Largest entry magnitude (the norm used for Hermitian defects and gates)."""
     A = np.asarray(A)
     return float(np.abs(A).max()) if A.size else 0.0
 
@@ -75,22 +74,24 @@ def entry_norm(A) -> float:
 def fro(A) -> float:
     """Frobenius norm (the norm used for all relative residuals).
 
-    A norm outside (1e-140, 1e140) is recomputed on a copy scaled by the
-    power of two that brings the largest real or imaginary part into
-    [0.5, 1), so squares neither overflow nor underflow.  ``ldexp`` scales
-    the parts exactly, which a float factor ``2**e`` cannot do once it
-    overflows.
+    A norm outside (1e-140, 1e140) is recomputed on the ``_unit_scaled``
+    copy, so squares neither overflow nor underflow.
     """
     A = np.asarray(A)
     with np.errstate(over="ignore"):  # an overflow is rescaled below
         norm = float(np.linalg.norm(A))
     if 1e-140 < norm < 1e140 or not np.all(np.isfinite(A)):
         return norm
-    e = -int(np.frexp(np.max(np.abs([A.real, A.imag]), initial=0.0))[1])
-    scaled = np.ldexp(A.real, e)
-    if np.iscomplexobj(A):
-        scaled = scaled + 1j * np.ldexp(A.imag, e)
+    scaled, e = _unit_scaled(A)
     return float(np.ldexp(np.linalg.norm(scaled), -e))
+
+
+def _unit_scaled(A) -> tuple[np.ndarray, int]:
+    """``(A * 2**e, e)`` with the largest real or imaginary part in [0.5, 1),
+    exact (signed zeros included) even where the float ``2.0**e`` overflows."""
+    A = np.ascontiguousarray(A, dtype=np.result_type(A, np.float64))
+    e = -int(np.frexp(np.max(np.abs(A.view(np.float64)), initial=0.0))[1])
+    return np.ldexp(A.view(np.float64), e).view(A.dtype), e
 
 
 def rel_residual(diff, *operands) -> float:
@@ -226,10 +227,11 @@ def mat_exp(A) -> np.ndarray:
 
     Scaling-and-squaring Pade evaluation (``scipy.linalg.expm``, Higham
     2005), which needs no eigenbasis and so holds at defective and
-    ill-conditioned inputs alike.
+    ill-conditioned inputs alike.  scipy is imported on the first call.
 
     Raises ExponentialOverflow when the result has a non-finite entry.
     """
+    import scipy.linalg
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         E = scipy.linalg.expm(as_square_matrix(A))
     if not np.all(np.isfinite(E)):
@@ -238,25 +240,27 @@ def mat_exp(A) -> np.ndarray:
 
 
 def inverse(A) -> np.ndarray:
-    """Invert by LU elimination with partial pivoting.
+    """Invert the ``_unit_scaled`` copy S by ``np.linalg.inv`` and scale back.
 
-    Raises SingularMatrix when any pivot magnitude falls below
-    ``PIVOT_RTOL`` times the max-entry norm of A.
+    Raises SingularMatrix on an empty, exactly singular or overflowing case
+    and unless ``1 / (||S||_1 ||S^-1||_1) > PIVOT_RTOL`` (scale-free rcond).
     """
     M = as_square_matrix(A)
-    scale = entry_norm(M)
-    with warnings.catch_warnings():
-        # exact zero pivots are reported by our own check below
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.size == 0 or pivots.min() <= PIVOT_RTOL * scale:
-        raise SingularMatrix(
-            f"pivot {pivots.min() if pivots.size else 0.0:.3e} below "
-            f"{PIVOT_RTOL:.0e} * {scale:.3e}"
-        )
-    ident = np.eye(M.shape[0], dtype=complex)
-    return scipy.linalg.lu_solve((lu, piv), ident, check_finite=False)
+    if M.size == 0:
+        raise SingularMatrix("an empty matrix has no inverse")
+    S, e = _unit_scaled(M)
+    try:
+        Sinv = np.linalg.inv(S)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"matrix is exactly singular: {exc}") from exc
+    with np.errstate(over="ignore"):  # an overflow fails the checks below
+        rcond = 1.0 / (np.linalg.norm(S, 1) * np.linalg.norm(Sinv, 1))
+        inv = np.ldexp(Sinv.view(np.float64), e).view(complex)
+    if not rcond > PIVOT_RTOL:  # a NaN fails too
+        raise SingularMatrix(f"reciprocal condition {rcond:.3e} not above {PIVOT_RTOL:.0e}")
+    if not np.all(np.isfinite(inv)):
+        raise SingularMatrix(f"inverse overflows: matrix entries are below 2**{-e}")
+    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,26 @@ def test_nonfinite_value_exits_two_naming_its_flag(tmp_path, capsys, command, fl
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, values, code, message",
+    [
+        ("sweep", ["--range-lo", "-1e-3", "--range-hi", "2"], 0, None),
+        ("sweep", ["--range-lo", "-2E0", "--range-hi", "-1e-3"], 0, None),
+        ("sweep", ["--range-l", "-1e-3", "--range-h", "2"], 0, None),
+        ("sweep", ["--range-lo", "0", "--range-hi", "1", "--tol", "-1e-3"], 2,
+         "--tol must be positive"),
+        ("evolve", ["--t-max", "-1e-3"], 2, "--t-max positive"),
+    ],
+)
+def test_negative_exponent_form_is_a_flag_value(tmp_path, capsys, command, values, code, message):
+    argv = evolve_files(tmp_path, toy_2x2(2.0), [1.0, 0.0]) if command == "evolve" else [command]
+    assert exit_code(argv + values + ["--out", os.devnull]) == code
+    err = capsys.readouterr().err
+    assert "expected one argument" not in err
+    if message:
+        assert message in err
+
+
 @pytest.mark.parametrize("command", ["metric", "chain", "verify", "suite"])
 def test_format_is_refused_where_no_csv_exists(toy_file, capsys, command):
     argv = [command] + ([] if command == "suite" else ["--input", toy_file])

@@ -348,6 +348,25 @@ def test_exp_overflow_raises_typed_error():
         mc.mat_exp(np.diag([1000.0, 0.0]))
 
 
+def test_exp_looks_up_scipy_expm_on_every_call(monkeypatch):
+    # the benchmark tracer counts Pade evaluations by patching this attribute
+    import scipy.linalg
+
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting(A):
+        calls.append(A)
+        return expm(A)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for n in range(1, 4):
+        E = mc.mat_exp(A)
+        assert len(calls) == n
+    np.testing.assert_array_equal(E, expm(calls[-1]))
+
+
 @pytest.mark.parametrize("seed", RNG_SEEDS)
 def test_exp_inverse_pairing(seed):
     rng = np.random.default_rng(seed)
@@ -390,6 +409,53 @@ def test_inverse_roundtrip(seed):
     cond = np.linalg.cond(A)
     assert mc.fro(mc.inverse(mc.inverse(A)) - A) <= 1e-8 * cond**2
     assert mc.fro(A @ mc.inverse(A) - np.eye(5)) <= 1e-10 * cond
+
+
+def test_inverse_of_an_empty_matrix_is_singular():
+    with pytest.raises(SingularMatrix, match="empty"):
+        mc.inverse(np.zeros((0, 0)))
+
+
+def test_inverse_that_overflows_is_singular():
+    A = random_complex(np.random.default_rng(0), 3)
+    with pytest.raises(SingularMatrix, match="inverse overflows"):
+        mc.inverse(2.0**-1070 * A)
+
+
+def test_inverse_of_huge_well_conditioned_matrix():
+    # cond 1; the 1-norm of A itself overflows, and an unscaled elimination
+    # returns [[1e-308, 0], [0, 0]]
+    A = 1e308 * np.array([[1.0, -1.0], [1.0, 1.0]])
+    want = np.array([[1.0, 1.0], [-1.0, 1.0]]) * (0.5 / 1e308)
+    np.testing.assert_allclose(mc.inverse(A), want, rtol=1e-14, atol=0.0)
+
+
+def test_inverse_refuses_an_ill_conditioned_matrix_with_unit_pivots():
+    # every LU pivot is 1, but cond_1 = 50 * 2**49 ~ 2.8e16
+    A = np.eye(50) - np.triu(np.ones((50, 50)), 1)
+    with pytest.raises(SingularMatrix, match="reciprocal condition"):
+        mc.inverse(A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 16),
+    st.integers(-500, 500),
+    st.booleans(),
+)
+def test_inverse_commutes_with_power_of_two_scaling(seed, dim, k, rank_deficient):
+    rng = np.random.default_rng(seed)
+    A = random_complex(rng, dim)
+    if rank_deficient:
+        A = A[:, : dim - 1] @ A[: dim - 1, :]
+    try:
+        want = 2.0**-k * mc.inverse(A)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            mc.inverse(2.0**k * A)
+        return
+    assert mc.fro(mc.inverse(2.0**k * A) - want) <= 1e-15 * mc.fro(want)
 
 
 # ---------------------------------------------------------------------------
