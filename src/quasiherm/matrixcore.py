@@ -36,12 +36,15 @@ DEFECT_OVERLAP_TOL = 1e-12
 PIVOT_RTOL = 1e-14
 
 
-def as_square_matrix(A, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
+def as_square_matrix(A, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """Coerce to a square complex128 array with finite entries.
+
+    ``ndim=3`` asks for a ``(k, n, n)`` stack of k square matrices instead.
+    """
     M = np.asarray(A, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim != ndim or M.shape[-1] != M.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.isfinite(M).all():  # a complex entry is finite iff both parts are
         raise InputFormatError(f"{name} contains non-finite entries")
     return M
 
@@ -60,7 +63,7 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     x = np.asarray(v, dtype=complex).reshape(-1)
     if dim is not None and x.shape[0] != dim:
         raise DimensionMismatch(f"{name} has length {x.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
+    if not np.isfinite(x).all():
         raise InputFormatError(f"{name} contains non-finite entries")
     return x
 
@@ -83,14 +86,19 @@ def fro(A) -> float:
     if 1e-140 < norm < 1e140 or not np.all(np.isfinite(A)):
         return norm
     scaled, e = _unit_scaled(A)
-    return float(np.ldexp(np.linalg.norm(scaled), -e))
+    return float(np.ldexp(np.linalg.norm(scaled), -e.item()))
 
 
-def _unit_scaled(A) -> tuple[np.ndarray, int]:
+def _unit_scaled(A, axis=None) -> tuple[np.ndarray, np.ndarray]:
     """``(A * 2**e, e)`` with the largest real or imaginary part in [0.5, 1),
-    exact (signed zeros included) even where the float ``2.0**e`` overflows."""
+    exact (signed zeros included) even where the float ``2.0**e`` overflows.
+
+    The largest part is taken over ``axis`` (all of A by default; ``(-2, -1)``
+    scales each matrix of a stack on its own); ``e`` keeps the reduced axes.
+    """
     A = np.ascontiguousarray(A, dtype=np.result_type(A, np.float64))
-    e = -int(np.frexp(np.max(np.abs(A.view(np.float64)), initial=0.0))[1])
+    peak = np.max(np.abs(A.view(np.float64)), axis=axis, keepdims=True, initial=0.0)
+    e = -np.frexp(peak)[1]
     return np.ldexp(A.view(np.float64), e).view(A.dtype), e
 
 
@@ -142,7 +150,8 @@ def eig(A) -> SpectralData:
     Eigenvalues are sorted ascending by (real, imaginary) part.  Right
     eigenvectors get unit 2-norm and a fixed gauge (largest-magnitude entry
     real positive); left vectors are the rows of the inverted right basis,
-    so biorthonormality holds to rounding by construction.
+    so biorthonormality holds to rounding by construction.  This is
+    ``eig_stack`` on a stack of one.
 
     Raises
     ------
@@ -151,40 +160,61 @@ def eig(A) -> SpectralData:
         below ``DEFECT_OVERLAP_TOL``, which signals a (numerically)
         non-diagonalizable input such as an exceptional point.
     """
-    M = as_square_matrix(A)
-    w, R = np.linalg.eig(M)
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    R = R[:, order]
-    R = R / np.linalg.norm(R, axis=0)
-    pivot = R[np.abs(R).argmax(axis=0), np.arange(M.shape[0])]
-    # hypot, not np.abs: it rounds |pivot| as the scalar abs() does
-    R = R * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
-    try:
-        Rinv = inverse(R)
-    except SingularMatrix as exc:
+    (w,), (R,), (L,), (overlap,), (defective,) = _eig_stack(as_square_matrix(A)[None])
+    if defective:
         raise DefectiveMatrix(
-            "right eigenvector basis is numerically singular"
-        ) from exc
-    # Unit-normalized left/right overlaps are 1/||row_n(R^-1)||; a vanishing
-    # overlap before rescaling marks a collapsing eigenvector pair.
-    raw_overlap = 1.0 / np.linalg.norm(Rinv, axis=1)
-    if np.any(raw_overlap < DEFECT_OVERLAP_TOL):
-        raise DefectiveMatrix(
-            f"left/right overlap {raw_overlap.min():.3e} below "
+            "right eigenvector basis is numerically singular" if np.isnan(overlap) else
+            f"left/right overlap {overlap:.3e} below "
             f"{DEFECT_OVERLAP_TOL:.0e}: input is defective"
         )
-    return SpectralData(w, R, Rinv.conj().T, float(1.0 / raw_overlap.min()))
+    return SpectralData(w, R, L, float(1.0 / overlap))
 
 
-def spectrum_imag(eigenvalues, scale: float) -> tuple[float, float]:
+def eig_stack(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``eig`` over a ``(k, n, n)`` stack, flagging defective members instead of raising.
+
+    Returns ``(eigenvalues, right_vectors, left_vectors, overlap, defective)``
+    of shapes ``(k, n)``, ``(k, n, n)``, ``(k, n, n)``, ``(k,)`` and ``(k,)``:
+    per member, the arrays ``eig`` returns (bit for bit), the smallest raw
+    left/right overlap (NaN where the right basis fails ``inverse``'s gate)
+    and the flag on which ``eig`` raises DefectiveMatrix.  The left vectors
+    of a defective member are meaningless.
+    """
+    return _eig_stack(as_square_matrix(A, "(k, n, n) stack", ndim=3))
+
+
+def _eig_stack(M):
+    """``eig_stack`` on a validated stack."""
+    w, R = np.linalg.eig(M)
+    member, n = np.arange(len(M))[:, None], M.shape[-1]
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    w = w[member, order]
+    # The sorted columns as contiguous rows: the norm then sums each one
+    # pairwise in memory order, so its rounding is the same in any stack.
+    columns = R.swapaxes(-1, -2)[member, order]
+    R = (columns / np.linalg.norm(columns, axis=-1, keepdims=True)).swapaxes(-1, -2)
+    pivot = R[member, np.abs(R).argmax(axis=-2), np.arange(n)][:, None, :]
+    # hypot, not np.abs: it rounds |pivot| as the scalar abs() does
+    R = R * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
+    Rinv, _, invertible = _scaled_inverse(R)
+    # Unit-normalized left/right overlaps are 1/||row_n(R^-1)||; a vanishing
+    # overlap before rescaling marks a collapsing eigenvector pair.  Only a
+    # member that failed the inverse gate can overflow here, and it reads NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap = np.where(invertible, (1.0 / np.linalg.norm(Rinv, axis=-1)).min(axis=-1), np.nan)
+    defective = ~invertible | (overlap < DEFECT_OVERLAP_TOL)
+    return w, R, Rinv.conj().swapaxes(-1, -2), overlap, defective
+
+
+def spectrum_imag(eigenvalues, scale):
     """``(max |Im lambda|, max |Im lambda| / max(scale, 1e-300))`` of computed eigenvalues.
 
     The one spectral-reality measure: with ``scale = fro(H)``, the spectrum
-    counts as real when the ratio is at most the caller's tolerance.
+    counts as real when the ratio is at most the caller's tolerance.  A
+    ``(k, n)`` stack of spectra with k scales gives k values of each.
     """
-    max_imag = float(np.abs(np.asarray(eigenvalues).imag).max())
-    return max_imag, max_imag / max(scale, 1e-300)
+    max_imag = np.abs(np.asarray(eigenvalues).imag).max(axis=-1)
+    return max_imag, max_imag / np.maximum(scale, 1e-300)
 
 
 def is_positive_definite(A, tol: float) -> tuple[bool, float]:
@@ -248,19 +278,46 @@ def inverse(A) -> np.ndarray:
     M = as_square_matrix(A)
     if M.size == 0:
         raise SingularMatrix("an empty matrix has no inverse")
-    S, e = _unit_scaled(M)
-    try:
-        Sinv = np.linalg.inv(S)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"matrix is exactly singular: {exc}") from exc
-    with np.errstate(over="ignore"):  # an overflow fails the checks below
-        rcond = 1.0 / (np.linalg.norm(S, 1) * np.linalg.norm(Sinv, 1))
+    inv, rcond, invertible = _scaled_inverse(M[None])
+    if invertible[0]:
+        return inv[0]
+    if np.isnan(rcond[0]):
+        raise SingularMatrix("matrix is exactly singular")
+    if np.isfinite(inv).all():
+        raise SingularMatrix(f"reciprocal condition {rcond[0]:.3e} not above {PIVOT_RTOL:.0e}")
+    raise SingularMatrix(f"inverse overflows: largest matrix entry {entry_norm(M):.3e}")
+
+
+def _scaled_inverse(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(inverse, rcond, invertible)`` of each member of a ``(k, n, n)`` stack.
+
+    Each member is inverted as its ``_unit_scaled`` copy S and scaled back.
+    It is invertible iff ``rcond = 1 / (||S||_1 ||S^-1||_1) > PIVOT_RTOL`` and
+    its inverse is finite; an exactly singular member gets NaN entries and a
+    NaN rcond, which fail the gate without sinking the rest of the stack.
+    """
+    S, e = _unit_scaled(M, axis=(-2, -1))
+    Sinv = _inv_or_nan(S)
+    with np.errstate(over="ignore"):  # an overflow fails the gate below
+        rcond = 1.0 / (_norm1(S) * _norm1(Sinv))
         inv = np.ldexp(Sinv.view(np.float64), e).view(complex)
-    if not rcond > PIVOT_RTOL:  # a NaN fails too
-        raise SingularMatrix(f"reciprocal condition {rcond:.3e} not above {PIVOT_RTOL:.0e}")
-    if not np.all(np.isfinite(inv)):
-        raise SingularMatrix(f"inverse overflows: matrix entries are below 2**{-e}")
-    return inv
+    invertible = (rcond > PIVOT_RTOL) & np.isfinite(inv).all(axis=(-2, -1))
+    return inv, rcond, invertible
+
+
+def _norm1(S) -> np.ndarray:
+    """Matrix 1-norm of each member of a stack."""
+    return np.abs(S).sum(axis=-2).max(axis=-1)
+
+
+def _inv_or_nan(S) -> np.ndarray:
+    """``np.linalg.inv`` of a stack, with NaN entries for an exactly singular member."""
+    try:
+        return np.linalg.inv(S)
+    except np.linalg.LinAlgError:
+        if S.ndim == 2:
+            return np.full_like(S, np.nan)
+        return np.stack([_inv_or_nan(member) for member in S])
 
 
 # ---------------------------------------------------------------------------

@@ -205,17 +205,26 @@ def spectral_reality(H, tol: float) -> tuple[bool, float]:
     """
     Hm = mc.as_square_matrix(H, "H")
     max_imag, ratio = mc.spectrum_imag(mc.eig(Hm).eigenvalues, mc.fro(Hm))
-    return ratio <= tol, max_imag
+    return bool(ratio <= tol), float(max_imag)
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Grid of reality/positivity flags plus a bisected phase boundary."""
+    """Grid of reality/positivity flags plus the refined phase boundary.
+
+    ``critical_method`` names the refinement that produced
+    ``critical_estimate``: ``"root"`` (regula falsi on the squared splitting
+    of the coalescing pair), ``"bisection"`` (on the reality flag) or None
+    when no boundary was bracketed; ``critical_evaluations`` counts the
+    matrices the refinement eigendecomposed beyond the grid.
+    """
 
     parameter_values: np.ndarray
     reality_flags: tuple[bool, ...]
     positivity_flags: tuple[bool, ...]
     critical_estimate: float | None
+    critical_method: str | None
+    critical_evaluations: int
 
     def to_json(self) -> dict:
         return {
@@ -223,6 +232,8 @@ class SweepResult:
             "reality_flags": list(self.reality_flags),
             "positivity_flags": list(self.positivity_flags),
             "critical_estimate": self.critical_estimate,
+            "critical_method": self.critical_method,
+            "critical_evaluations": self.critical_evaluations,
         }
 
     def to_csv(self) -> str:
@@ -236,26 +247,123 @@ class SweepResult:
         return buf.getvalue()
 
 
-def _real_phase(H, tol: float) -> bool:
-    """``spectral_reality``'s flag, False at an exceptional point."""
-    try:
-        return spectral_reality(H, tol)[0]
-    except DefectiveMatrix:
-        return False
+def _reality_flags(H, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``spectral_reality``'s flag for each matrix of a ``(k, d, d)`` stack,
+    False where the matrix is defective, with the eigenvalues and ``fro``."""
+    w, _, _, _, defective = mc.eig_stack(H)
+    scale = np.array([mc.fro(h) for h in H])
+    _, ratio = mc.spectrum_imag(w, scale)
+    return ~defective & (ratio <= tol), w, scale
 
 
-def _phase_flags(H, tol: float) -> tuple[bool, bool]:
-    """(reality, positivity-of-the-all-ones spectral metric) for one matrix."""
-    if not _real_phase(H, tol):
-        return False, False
+def _positive_phase(H, tol: float) -> bool:
+    """Positivity of the all-ones spectral metric of a real-phase matrix."""
     try:
         family = solve_metric_space(H, tol=max(tol, 1e-12))
         theta = metric_from_weights(family, family.kappa_default)
     except (ComplexSpectrum, DefectiveMatrix, SpanMismatch):
-        return True, False
+        return False
     positive, _ = mc.positive_metric(theta)
-    admissible = check_quasi_hermitian(H, theta) <= 1e-8
-    return True, bool(positive and admissible)
+    return bool(positive and check_quasi_hermitian(H, theta) <= 1e-8)
+
+
+def _squared_splitting(w, scale: float, centre: float) -> float | None:
+    """``Re(((l+ - l-) / scale)**2)`` of the two eigenvalues nearest ``centre``.
+
+    ``w`` is the spectrum of a matrix of Frobenius norm ``scale``, so the
+    value is scale-free.  None unless the pair exists and is isolated: its
+    splitting lies below its distance to the third-nearest eigenvalue
+    (infinite at d = 2).  A value within ``eps`` of zero, its rounding
+    level, reads 0.0.
+    """
+    if len(w) < 2:
+        return None
+    near = w[np.argsort(np.abs(w - centre))]
+    split = near[0] - near[1]
+    gap = np.abs(near[2] - near[:2]).min() if len(near) > 2 else np.inf
+    if not abs(split) < gap:  # also refuses a NaN or infinite splitting
+        return None
+    value = float(((split / max(scale, 1e-300)) ** 2).real)
+    return 0.0 if abs(value) <= np.finfo(float).eps else value
+
+
+def _coalescing_pair(end_a, end_b):
+    """``(centre, f(a), f(b))`` for the root-find, or None while it cannot start.
+
+    Each end is ``(eigenvalues, fro)``.  The pair is the two eigenvalues
+    nearest the real part of the broken end's most complex eigenvalue; the
+    root-find needs it isolated at both ends and ``f = _squared_splitting``
+    zero at either end, or else positive at the real end and negative at
+    the broken end, where the pair must be complex conjugates, as it is past
+    an EP2 at which a real pair turns complex.
+    """
+    wb = end_b[0]
+    k = np.argmax(np.abs(wb.imag))
+    centre = float(wb[k].real)
+    fa = _squared_splitting(*end_a, centre)
+    fb = _squared_splitting(*end_b, centre)
+    if fa is None or fb is None:
+        return None
+    conjugate = np.abs(wb - wb[k].conj()).min() < abs(wb[k].imag)
+    if fa == 0.0 or fb == 0.0 or (conjugate and fa > 0.0 > fb):
+        return centre, fa, fb
+    return None
+
+
+#: refinement stops once the bracket is this narrow relative to |parameter| ...
+_BRACKET_RTOL = 4.0 * np.finfo(float).eps
+#: ... or after this many evaluations
+_MAX_EVALUATIONS = 100
+#: matrices per stacked eigendecomposition of the grid (bounds the memory)
+_STACK = 256
+
+
+def _refine(family, a: float, b: float, end_a, end_b, tol: float):
+    """Narrow the flip cell ``[a, b]`` (real phase at a, broken at b).
+
+    At an EP2 the squared splitting of the coalescing pair is analytic in
+    the parameter and changes sign, so Illinois regula falsi on it reaches
+    the crossing to rounding.  While ``_coalescing_pair`` refuses the
+    bracket, or once the pair is lost, the reality flag is bisected
+    instead.  Each end is ``(eigenvalues, fro)`` of its matrix.  Returns
+    ``(estimate, method, evaluations)``.
+    """
+    method, evaluations, side = "bisection", 0, 0
+    pair = _coalescing_pair(end_a, end_b)
+    while evaluations < _MAX_EVALUATIONS and b - a > _BRACKET_RTOL * max(abs(a), abs(b)):
+        if pair is None:
+            method = "bisection"
+            m = a + 0.5 * (b - a)
+            real, w, scale = _reality_flags(mc.as_square_matrix(family(m), "H")[None], tol)
+            evaluations += 1
+            if real[0]:
+                a, end_a = m, (w[0], scale[0])
+            else:
+                b, end_b = m, (w[0], scale[0])
+            pair = _coalescing_pair(end_a, end_b)
+            continue
+        method = "root"
+        centre, fa, fb = pair
+        if fa == 0.0 or fb == 0.0:
+            return (a if fa == 0.0 else b), method, evaluations
+        c = b - (b - a) * (fb / (fb - fa))
+        if not a < c < b:
+            c = a + 0.5 * (b - a)
+        Hc = mc.as_square_matrix(family(c), "H")
+        end_c = np.linalg.eigvals(Hc), mc.fro(Hc)
+        evaluations += 1
+        fc = _squared_splitting(*end_c, centre)
+        if fc is None:
+            pair = None
+        elif fc == 0.0:
+            return c, method, evaluations
+        elif fc > 0.0:  # Illinois: halve the value kept at the same end twice
+            a, end_a, pair = c, end_c, (centre, fc, fb * 0.5 if side < 0 else fb)
+            side = -1
+        else:
+            b, end_b, pair = c, end_c, (centre, fa * 0.5 if side > 0 else fa, fc)
+            side = 1
+    return a + 0.5 * (b - a), method, evaluations
 
 
 def sweep_exceptional(
@@ -263,39 +371,45 @@ def sweep_exceptional(
 ) -> SweepResult:
     """Map the real-spectrum phase of a parameterized family.
 
-    ``family`` maps a real parameter to a square matrix.  A uniform grid of
-    ``samples`` points is flagged for spectral reality and for positivity of
-    the all-ones-weight spectral metric; when reality holds at ``lo`` and
-    fails at ``hi``, the first grid sign change is refined by bisection to an
-    absolute uncertainty of 1e-6.
+    ``family`` maps a real parameter to a square matrix of one fixed size.
+    A uniform grid of ``samples`` points is flagged for spectral reality
+    (from stacked eigendecompositions; a defective point reads False) and,
+    at the real points, for positivity of the all-ones-weight spectral
+    metric.  When reality holds at ``lo`` and fails at ``hi``, the first
+    flip cell of the grid is narrowed by ``_refine``: a root-find on the
+    squared splitting of the coalescing eigenvalue pair, with bisection of
+    the reality flag as its fallback.  Both stop once the bracket is within
+    a few ulps of the parameter (the root-find also once the splitting is
+    at its rounding level), and after ``_MAX_EVALUATIONS`` evaluations at
+    most, so the estimate is relative to the parameter's scale and the
+    sweep always returns.  ``critical_method`` and ``critical_evaluations``
+    of the result say which loop made the estimate and at what cost.
     """
     if not (lo < hi and np.isfinite(float(hi) - float(lo))):
         raise BadRange(f"need lo < hi a finite distance apart, got [{lo}, {hi}]")
     if int(samples) != samples or samples < 2:
         raise BadRange("need at least 2 samples")
     grid = np.linspace(lo, hi, int(samples))
-    reality = []
-    positivity = []
-    for x in grid:
-        r, p = _phase_flags(family(float(x)), tol)
-        reality.append(r)
-        positivity.append(p)
+    reality, positivity, ends = [], [], []
+    for start in range(0, len(grid), _STACK):
+        H = np.stack([mc.as_square_matrix(family(float(x)), "H") for x in grid[start:start + _STACK]])
+        real, w, scale = _reality_flags(H, tol)
+        reality += real.tolist()
+        positivity += [r and _positive_phase(h, tol) for r, h in zip(reality[start:], H)]
+        ends += zip(w, scale)
 
-    critical = None
+    critical, method, evaluations = None, None, 0
     if reality[0] and not reality[-1]:
         flip = next(i for i in range(len(grid) - 1) if reality[i] and not reality[i + 1])
-        a, b = float(grid[flip]), float(grid[flip + 1])
-        while b - a > 1e-6:
-            midpoint = (a + b) / 2.0
-            if _real_phase(family(midpoint), tol):
-                a = midpoint
-            else:
-                b = midpoint
-        critical = (a + b) / 2.0
+        critical, method, evaluations = _refine(
+            family, float(grid[flip]), float(grid[flip + 1]), ends[flip], ends[flip + 1], tol
+        )
 
     return SweepResult(
         parameter_values=grid,
         reality_flags=tuple(reality),
         positivity_flags=tuple(positivity),
         critical_estimate=critical,
+        critical_method=method,
+        critical_evaluations=evaluations,
     )

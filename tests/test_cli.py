@@ -393,6 +393,16 @@ def test_sweep_lattice(tmp_path):
     assert abs(report["summary"]["critical_estimate"] - 1.0) <= 1e-5
 
 
+def test_sweep_summary_says_how_the_estimate_was_made(tmp_path):
+    out = tmp_path / "sweep.json"
+    args = ["sweep", "--dim", "2", "--range-lo", "0", "--range-hi", "2", "--out", str(out)]
+    assert run(args) == 0
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["critical_method"] == "root"
+    assert summary["critical_evaluations"] == 0  # the grid point 1.0 is the crossing
+    assert abs(summary["critical_estimate"] - 1.0) <= 1e-15
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run(

@@ -233,6 +233,58 @@ def test_eig_matches_loop_gauge_bit_for_bit(A):
         assert np.array_equal(got, want)
 
 
+@st.composite
+def eig_stacks(draw):
+    """Stacks of one dimension mixing the ``eig_inputs`` kinds, defective members included."""
+    d = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for kind in draw(st.lists(st.sampled_from(["complex", "random_qh", "pt_chain", "jordan"]),
+                              min_size=1, max_size=6)):
+        if kind == "complex":
+            members.append(random_complex(rng, d))
+        elif kind == "random_qh":
+            members.append(random_qh(d, int(rng.integers(2**32)))[0])
+        elif kind == "pt_chain":
+            members.append(pt_chain(d, draw(st.sampled_from([0.5, 1.0, 1.5]))))
+        else:
+            members.append(np.eye(d) + np.eye(d, k=1))
+    return np.stack(members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(eig_stacks())
+def test_eig_stack_members_match_eig_bit_for_bit(stack):
+    w, R, L, overlap, defective = mc.eig_stack(stack)
+    for k, A in enumerate(stack):
+        try:
+            sd = mc.eig(A)
+        except DefectiveMatrix:
+            assert defective[k]
+            continue
+        assert not defective[k]
+        for got, want in zip((w[k], R[k], L[k]), (sd.eigenvalues, sd.right_vectors, sd.left_vectors)):
+            assert np.array_equal(got, want)
+        assert 1.0 / overlap[k] == sd.condition_estimate
+
+
+def test_eig_stack_flags_an_exactly_singular_basis_without_raising():
+    # pt_chain(2, 1) is a Jordan block whose computed eigenvectors coincide
+    w, _, _, overlap, defective = mc.eig_stack(np.stack([pt_chain(2, 0.5), pt_chain(2, 1.0)]))
+    assert defective.tolist() == [False, True]
+    assert np.isnan(overlap[1])
+    np.testing.assert_allclose(w[0], [-np.sqrt(0.75), np.sqrt(0.75)], rtol=1e-14)
+
+
+def test_eig_stack_requires_a_stack_of_square_matrices():
+    with pytest.raises(DimensionMismatch):
+        mc.eig_stack(np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        mc.eig_stack(np.ones((2, 3, 2)))
+    with pytest.raises(InputFormatError):
+        mc.eig_stack(np.full((1, 2, 2), np.nan))
+
+
 @settings(max_examples=200, deadline=None)
 @given(eig_inputs())
 def test_eig_condition_estimate_is_the_gated_overlap(A):

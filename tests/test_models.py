@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiherm import matrixcore as mc
 from quasiherm import models
@@ -240,3 +242,116 @@ def test_sweep_serialization():
     payload = result.to_json()
     assert len(payload["parameter_values"]) == 5
     assert payload["critical_estimate"] == result.critical_estimate
+
+
+def test_sweep_reports_how_the_estimate_was_made():
+    result = sweep_exceptional(lambda g: pt_chain(2, g), 0.0, 2.0, 21)
+    payload = result.to_json()
+    assert payload["critical_method"] == result.critical_method == "root"
+    assert payload["critical_evaluations"] == result.critical_evaluations
+    assert isinstance(result.critical_evaluations, int)
+    assert abs(result.critical_estimate - 1.0) <= 1e-15
+    flat = sweep_exceptional(lambda g: np.diag([1.0, 2.0 + g]), 0.0, 1.0, 5)
+    assert (flat.critical_estimate, flat.critical_method, flat.critical_evaluations) == (None, None, 0)
+
+
+def looped_real_phase(H, tol):
+    """The reality probe the sweep once ran per matrix: the stacked flags' reference."""
+    try:
+        return spectral_reality(H, tol)[0]
+    except DefectiveMatrix:
+        return False
+
+
+@st.composite
+def sweep_stacks(draw):
+    """pt_chain grids (d = 2..32, gamma = 1 included) and random_qh stacks."""
+    d = draw(st.integers(2, 32))
+    if draw(st.booleans()):
+        gammas = draw(st.lists(st.floats(0.0, 2.5), min_size=1, max_size=8)) + [1.0]
+        return [pt_chain(d, g) for g in draw(st.permutations(gammas))]
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+    return [random_qh(min(d, 12), seed)[0] for seed in seeds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_stacks(), st.sampled_from([1e-12, 1e-9, 1e-6]))
+def test_stacked_reality_flags_match_the_looped_probe(stack, tol):
+    flags, _, _ = models._reality_flags(np.stack(stack), tol)
+    assert flags.tolist() == [looped_real_phase(H, tol) for H in stack]
+
+
+def test_reality_flag_of_the_two_site_exceptional_point_is_false():
+    flags, _, _ = models._reality_flags(np.stack([pt_chain(2, 0.5), pt_chain(2, 1.0)]), 1e-9)
+    assert flags.tolist() == [True, False]
+    with pytest.raises(DefectiveMatrix):
+        spectral_reality(pt_chain(2, 1.0), 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.floats(1e-6, 0.1),
+    st.floats(1e-6, 0.1),
+    st.integers(2, 6),
+)
+def test_sweep_estimate_of_even_chains_is_one_to_rounding(half, below, above, samples):
+    d = 2 * half
+    result = sweep_exceptional(lambda g: pt_chain(d, g), 1.0 - below, 1.0 + above, samples)
+    assert result.critical_method == "root"
+    assert abs(result.critical_estimate - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 5, 9, 15])
+def test_sweep_estimate_of_odd_chains(d):
+    # three eigenvalues meet at sqrt((d + 1) / (d - 1)); the root-find still
+    # lands far closer than the flag's 1e-6 bisection did
+    critical = np.sqrt((d + 1) / (d - 1))
+    result = sweep_exceptional(lambda g: pt_chain(d, g), 0.0, 3.0, 61)
+    assert abs(result.critical_estimate - critical) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "family, lo, hi, critical",
+    [
+        (lambda g: pt_chain(4, g / 1e12), 0.0, 2e12, 1e12),
+        (lambda g: pt_chain(4, g * 1e9), 0.0, 2e-9, 1e-9),
+        (lambda g: pt_chain(6, g / 1e12), 0.0, 2.3e12, 1e12),
+        (lambda g: pt_chain(6, g * 1e9), 1e-10, 2.3e-9, 1e-9),
+    ],
+)
+def test_sweep_estimate_is_relative_at_any_parameter_scale(family, lo, hi, critical):
+    # an absolute 1e-6 stop never ended near 1e12 and was 5% off near 1e-9
+    result = sweep_exceptional(family, lo, hi, 21)
+    assert abs(result.critical_estimate / critical - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("others", [[-1.0], []])
+def test_sweep_without_a_coalescing_pair_bisects_the_flag(others):
+    # the eigenvalue leaves the real axis alone at gamma = 0.5
+    result = sweep_exceptional(lambda g: np.diag([1.0 + 1j * max(g - 0.5, 0.0), *others]), 0.0, 1.0, 21)
+    assert result.critical_method == "bisection"
+    flip = result.reality_flags.index(False)
+    cell = result.parameter_values[flip - 1], result.parameter_values[flip]
+    assert cell[0] <= result.critical_estimate <= cell[1]
+    assert result.critical_estimate == pytest.approx(0.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_sweep_estimate_does_not_depend_on_the_matrix_scale(scale):
+    # the splitting is taken relative to ||H||, so it neither under- nor overflows
+    result = sweep_exceptional(lambda g: scale * pt_chain(4, g), 0.0, 1.93, 21)
+    assert result.critical_method == "root"
+    assert abs(result.critical_estimate - 1.0) <= 1e-12
+
+
+def test_sweep_refinement_is_capped():
+    # halving the flip cell [0, 5e298] down to the flag's flip at 0.5 takes
+    # about 1000 steps; the refinement stops after _MAX_EVALUATIONS
+    def family(g):
+        return np.diag([1.0 + 1j * max(g - 0.5, 0.0), -1.0])
+
+    result = sweep_exceptional(family, 0.0, 1e300, 21)
+    assert result.critical_method == "bisection"
+    assert result.critical_evaluations == models._MAX_EVALUATIONS
+    assert 0.0 <= result.critical_estimate <= result.parameter_values[1]
