@@ -32,6 +32,7 @@ from .errors import (
     InputFormatError,
     QuasihermError,
     ZeroParameter,
+    ZeroState,
 )
 from .evolution import norm_trajectory
 from .factorchain import ObservableChain, build_chain, verify_chain, verify_theorem1
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
             raise InputFormatError("--tol must be positive")
         code = _DISPATCH[args.command](args)
     except (
-        InputFormatError, BadRange, BadDimension, DimensionMismatch, ZeroParameter
+        InputFormatError, BadRange, BadDimension, DimensionMismatch, ZeroParameter, ZeroState
     ) as exc:
         print(f"quasiherm: input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -13,14 +13,12 @@ selecting a member of the family is deliberately left to the caller.
 Every solve cross-checks, in O(dim^3), the left eigenvectors of H (rows of
 the inverted right basis from ``matrixcore.eig``) against the right
 eigenvectors of ``H^dagger`` from a separate eigensolve, matched by sorted
-conjugate eigenvalue and compared against the span of their cluster.  The
-O(dim^6) algebraic null space over the dim^2 real parameters of a Hermitian
-matrix is built only on demand, as ``MetricFamily.oracle_basis``.
+conjugate eigenvalue and compared against the span of their cluster; no
+O(dim^6) null space of the dim^2-parameter real system is ever built.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -50,8 +48,7 @@ class MetricFamily:
     matching ``kappa_default``), then for each pair i < j in one eigenvalue
     cluster ``(|L_i><L_j| + h.c.)/sqrt 2`` and ``i(|L_i><L_j| - h.c.)/sqrt 2``:
     ``sum_b m_b^2`` elements.  ``degenerate`` flags a cluster of more than one
-    eigenvalue.  ``oracle_basis``, the null-space basis, is built from
-    ``hamiltonian`` and ``tol`` on first access and cached.
+    eigenvalue.
 
     ``span_residual`` is the larger of ``max_n ||v_n - P_n v_n||``, with
     ``v_n`` the unit eigenvectors of ``H^dagger`` and ``P_n`` the orthogonal
@@ -65,12 +62,6 @@ class MetricFamily:
     kappa_default: np.ndarray
     degenerate: bool
     span_residual: float
-    hamiltonian: np.ndarray
-    tol: float
-
-    @functools.cached_property
-    def oracle_basis(self) -> tuple[np.ndarray, ...]:
-        return tuple(_null_space(self.hamiltonian, self.tol))
 
     def to_json(self) -> dict:
         return {
@@ -78,38 +69,6 @@ class MetricFamily:
             "basis": [mc.matrix_to_json(B) for B in self.basis],
             "kappa_default": [float(k) for k in self.kappa_default],
         }
-
-
-def _hermitian_basis(dim: int) -> np.ndarray:
-    """Frobenius-orthonormal basis of the real space of Hermitian matrices.
-
-    Shape ``(dim**2, dim, dim)``: the diagonal units first, then for each
-    pair i < j (row-major) the symmetric and the antisymmetric element.
-    """
-    i, j = np.triu_indices(dim, 1)
-    sym = dim + 2 * np.arange(i.size)
-    E = np.zeros((dim * dim, dim, dim), dtype=complex)
-    E[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
-    E[sym, i, j] = E[sym, j, i] = 1.0 / np.sqrt(2.0)
-    E[sym + 1, i, j] = 1j / np.sqrt(2.0)
-    E[sym + 1, j, i] = -1j / np.sqrt(2.0)
-    return E
-
-
-def _null_space(Hm: np.ndarray, tol: float) -> np.ndarray:
-    """Hermitian null space of ``X -> H^dagger X - X H``, shape ``(k, dim, dim)``.
-
-    X is represented by dim^2 real coordinates in a Frobenius orthonormal
-    Hermitian basis and the image is split into (re, im) parts.  The real
-    system is 2 dim^2 x dim^2, so the reduced SVD returns every right vector.
-    The cut is relative to ``max(sigma_max, ||H||)``: for H within rounding
-    of a multiple of the identity, sigma_max is itself rounding noise.
-    """
-    herm = _hermitian_basis(Hm.shape[0])
-    image = (Hm.conj().T @ herm - herm @ Hm).reshape(len(herm), -1)
-    F = np.concatenate([image.real, image.imag], axis=1).T
-    _, svals, Vt = np.linalg.svd(F, full_matrices=False)
-    return np.tensordot(Vt[svals <= tol * max(svals[0], mc.fro(Hm))], herm, axes=1)
 
 
 def _eigensolve_disagreement(
@@ -140,15 +99,14 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
     H : array_like
         Square diagonalizable Hamiltonian with (numerically) real spectrum.
     tol : float
-        Relative threshold used for the spectral-reality precondition, the
-        eigenvalue clustering and the on-demand null-space singular-value cut.
+        Relative threshold used for the spectral-reality precondition and
+        the eigenvalue clustering.
 
     Returns
     -------
     MetricFamily
         The cluster basis (projectors first, then the within-cluster pair
-        elements) with all-ones default weights on the projectors; the
-        null-space basis follows on demand.
+        elements) with all-ones default weights on the projectors.
 
     Raises
     ------
@@ -210,8 +168,6 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
         kappa_default=np.ones(dim),
         degenerate=degenerate,
         span_residual=residual,
-        hamiltonian=Hm,
-        tol=tol,
     )
 
 

@@ -97,9 +97,14 @@ def norm_trajectory(H, Theta, psi0, times, check: bool = True) -> TrajectoryReco
     Passing ``check=False`` runs the same computation on a non-intertwining
     pair for diagnostic purposes, e.g. to expose the norm drift produced by
     the naive identity metric on a genuinely non-Hermitian Hamiltonian.
+    The ``_unit_scaled`` copy of psi0 is propagated and the results scaled
+    back by a power of two, so ``drift`` and ``dual_residual`` do not depend
+    on the scale of psi0.  A zero psi0 raises ZeroState.
     """
     Hm, Tm = mc.square_pair(H, Theta, "H", "Theta")
     psi = mc.as_vector(psi0, Hm.shape[0], "psi0")
+    if not psi.any():
+        raise ZeroState("norm trajectory needs a nonzero state")
     ts = np.asarray(times, dtype=float).reshape(-1)
     if ts.size < 1 or np.any(np.diff(ts) <= 0):
         raise BadRange("times must be a nonempty strictly increasing sequence")
@@ -107,6 +112,7 @@ def norm_trajectory(H, Theta, psi0, times, check: bool = True) -> TrajectoryReco
     if check:
         require_quasi_hermitian(Hm, Tm, "norm trajectory")
 
+    psi, e = mc._unit_scaled(psi)
     Hdag = Hm.conj().T
     theta_psi = Tm @ psi
     states, duals, norms = [], [], []
@@ -123,6 +129,9 @@ def norm_trajectory(H, Theta, psi0, times, check: bool = True) -> TrajectoryReco
     worst = max(
         mc.rel_residual(chi - Tm @ phi, Tm, phi) for phi, chi in zip(states, duals)
     )
+    with np.errstate(over="ignore"):  # a norm beyond the float range reads inf
+        states, duals = (np.ldexp(X.view(np.float64), -e).view(complex) for X in (states, duals))
+        norms = np.ldexp(norms, -2 * e)
     return TrajectoryRecord(ts, states, duals, norms, drift, worst)
 
 

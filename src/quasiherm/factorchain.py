@@ -140,8 +140,8 @@ class ObservableChain:
     @staticmethod
     def from_json(obj) -> "ObservableChain":
         try:
-            N = int(obj["N"])
-            dim = int(obj["dim"])
+            N = mc.json_int(obj["N"], "chain N")
+            dim = mc.json_int(obj["dim"], "chain dim")
             H = mc.matrix_from_json(obj["H"])
             Theta = mc.matrix_from_json(obj["Theta"])
             params = tuple(mc.matrix_from_json(m) for m in obj["params"])

@@ -333,10 +333,17 @@ def _to_json(x: np.ndarray) -> dict:
     }
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer; any other value (``2.5``, ``"2"``, ``true``) is refused."""
+    if type(value) is not int:
+        raise InputFormatError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _from_json(obj, what: str, rank: int) -> np.ndarray:
     """Entries of an interchange dict holding ``dim**rank`` values."""
     try:
-        dim = int(obj["dim"])
+        dim = json_int(obj["dim"], f"{what} dim")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

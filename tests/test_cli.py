@@ -199,7 +199,10 @@ def test_verify_zero_factor_fails_its_relations(toy_file, tmp_path):
     assert {"product[Lambda_1]", "metric-identity[k=0]"} <= set(failed)
 
 
-@pytest.mark.parametrize("field, value", [("N", "x"), ("dim", "two")])
+@pytest.mark.parametrize(
+    "field, value",
+    [("N", "x"), ("dim", "two")] + [(f, v) for f in ("N", "dim") for v in (2.5, "2", True)],
+)
 def test_verify_non_integer_header_exits_two(toy_file, tmp_path, field, value, capsys):
     chain_out = tmp_path / "chain.json"
     assert run(["chain", "--input", toy_file, "--out", str(chain_out)]) == 0
@@ -357,6 +360,14 @@ def test_evolve_huge_scale_passes(tmp_path):
     H, _ = random_qh(6, 1)
     argv = evolve_files(tmp_path, 1e100 * H, np.ones(6))
     assert run(argv + ["--out", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("scale, code", [(1e-160, 0), (0.0, 2)], ids=["tiny", "zero"])
+def test_evolve_state_scale(tmp_path, capsys, scale, code):
+    H, _ = random_qh(4, 5)
+    argv = evolve_files(tmp_path, H, scale * np.ones(4))
+    assert run(argv + ["--out", str(tmp_path / "out.json")]) == code
+    assert ("input error: ZeroState" in capsys.readouterr().err) == (code == 2)
 
 
 def test_evolve_overflowing_exponential_exits_one(tmp_path, capsys):
@@ -525,6 +536,8 @@ MALFORMED = {
     "dim mismatch": lambda obj: {**obj, "dim": obj["dim"] + 1},
     "missing im": lambda obj: {"dim": obj["dim"], "re": obj["re"]},
     "nan entry": lambda obj: {**obj, "re": [float("nan")] + obj["re"][1:]},
+    "float dim": lambda obj: {**obj, "dim": float(obj["dim"])},
+    "string dim": lambda obj: {**obj, "dim": str(obj["dim"])},
 }
 
 

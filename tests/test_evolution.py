@@ -123,7 +123,7 @@ def test_trajectory_hermitian_case_constant_norm():
     H = np.array([[0.0, 1.0], [1.0, 0.5]])
     record = norm_trajectory(H, np.eye(2), [1.0, 1j], np.linspace(0, 10, 51))
     assert record.drift <= 1e-12
-    np.testing.assert_allclose(record.norms, record.norms[0], rtol=1e-12)
+    np.testing.assert_allclose(record.norms, 2.0, rtol=1e-12)
 
 
 def test_trajectory_toy_model_conserves_weighted_norm():
@@ -149,6 +149,8 @@ def test_trajectory_gates_and_validation():
         norm_trajectory(np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), [1.0, 0.0], [0.0, 1.0])
     with pytest.raises(BadRange):
         norm_trajectory(TOY_H, TOY_THETA, [1.0, 0.0], [1.0, 0.5])
+    with pytest.raises(ZeroState):
+        norm_trajectory(TOY_H, TOY_THETA, [0.0, 0.0], [0.0, 1.0])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -172,6 +174,18 @@ def test_trajectory_drift_and_dual_residual_property(seed, dim):
     record = norm_trajectory(H, theta, psi0, np.linspace(0.0, 10.0, 21))
     assert record.drift <= 1e-8
     assert record.dual_residual <= 1e-8
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e154, 1e160])
+def test_trajectory_certificates_do_not_depend_on_the_state_scale(scale):
+    # the weighted norm of the scaled state under- or overflows
+    H, theta, psi0 = random_triple(5)
+    times = np.linspace(0.0, 10.0, 101)
+    base = norm_trajectory(H, theta, psi0, times)
+    record = norm_trajectory(H, theta, scale * psi0, times)
+    assert record.drift <= 1e-12
+    assert record.dual_residual <= 1e-12
+    np.testing.assert_allclose(record.states, scale * base.states, rtol=1e-12)
 
 
 def test_trajectory_serialization_shapes():

@@ -539,6 +539,9 @@ def test_vector_json_roundtrip_bit_exact():
         {"dim": 2, "re": [1, 0, 0], "im": [0, 0, 0, 0]},
         {"dim": 0, "re": [], "im": []},
         {"dim": 2, "re": "nope", "im": [0, 0, 0, 0]},
+        {"dim": 2.5, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]},
+        {"dim": "2", "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]},
+        {"dim": True, "re": [1], "im": [0]},
     ],
 )
 def test_matrix_json_rejects_malformed(obj):
