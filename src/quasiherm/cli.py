@@ -149,8 +149,15 @@ def _default_metric(H, tol: float):
     return family, theta
 
 
-def _wrap_report(rep) -> dict:
-    return {"tol": rep.tol, "overall_pass": rep.overall_pass, "relations": rep.to_json()}
+def _emit_verified(args, chain, /, **extra) -> int:
+    """Emit ``extra`` and the ladder and Theorem 1 reports of ``chain``;
+    exit 0 when both pass."""
+    ladder, theorem = verify_chain(chain, args.tol), verify_theorem1(chain, args.tol)
+    report = {"command": args.command, "tol": args.tol, **extra}
+    for key, rep in (("ladder", ladder), ("theorem1", theorem)):
+        report[key] = {"tol": rep.tol, "overall_pass": rep.overall_pass, "relations": rep.to_json()}
+    _emit(args, report)
+    return 0 if ladder.overall_pass and theorem.overall_pass else 1
 
 
 def _cmd_analyze(args) -> int:
@@ -183,7 +190,7 @@ def _cmd_metric(args) -> int:
         "command": "metric",
         "tol": args.tol,
         "family": family.to_json(),
-        "solution_space_dim": len(family.basis),
+        "solution_space_dim": sum(m * m for m in family.cluster_sizes),
         "span_residual": family.span_residual,
         "degenerate": family.degenerate,
         "default_metric": mc.matrix_to_json(theta),
@@ -221,34 +228,14 @@ def _cmd_chain(args) -> int:
             for _ in range(args.n_factors - 1)
         ]
     chain = build_chain(H, theta, params)
-    ladder = verify_chain(chain, args.tol)
-    theorem = verify_theorem1(chain, args.tol)
-    report = {
-        "command": "chain",
-        "tol": args.tol,
-        "chain": chain.to_json(),
-        "ladder": _wrap_report(ladder),
-        "theorem1": _wrap_report(theorem),
-    }
-    _emit(args, report)
-    return 0 if ladder.overall_pass and theorem.overall_pass else 1
+    return _emit_verified(args, chain, chain=chain.to_json())
 
 
 def _cmd_verify(args) -> int:
     obj = mc.read_json(args.input, "chain")
     if isinstance(obj, dict) and "chain" in obj:
         obj = obj["chain"]          # accept whole `chain` command reports
-    chain = ObservableChain.from_json(obj)
-    ladder = verify_chain(chain, args.tol)
-    theorem = verify_theorem1(chain, args.tol)
-    report = {
-        "command": "verify",
-        "tol": args.tol,
-        "ladder": _wrap_report(ladder),
-        "theorem1": _wrap_report(theorem),
-    }
-    _emit(args, report)
-    return 0 if ladder.overall_pass and theorem.overall_pass else 1
+    return _emit_verified(args, ObservableChain.from_json(obj))
 
 
 def _cmd_evolve(args) -> int:

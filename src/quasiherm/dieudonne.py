@@ -42,13 +42,15 @@ QH_GATE = 1e-10
 
 @dataclass(frozen=True)
 class MetricFamily:
-    """Hermitian basis of the metric solution space for one Hamiltonian.
+    """The metric solution space of one Hamiltonian, by its cluster structure.
 
-    ``basis`` holds the projectors ``|L_n><L_n|`` (one per eigenvalue,
-    matching ``kappa_default``), then for each pair i < j in one eigenvalue
-    cluster ``(|L_i><L_j| + h.c.)/sqrt 2`` and ``i(|L_i><L_j| - h.c.)/sqrt 2``:
-    ``sum_b m_b^2`` elements.  ``degenerate`` flags a cluster of more than one
-    eigenvalue.
+    ``cluster_sizes`` holds the multiplicities m_b of the eigenvalue
+    clusters in sorted-eigenvalue order; with the left vectors in
+    ``spectral`` they fix every solution ``sum_b L_b K_b L_b^dagger``, whose
+    real dimension is ``sum_b m_b^2`` (the span of ``|L_i><L_j|`` + h.c. and
+    ``i(|L_i><L_j| - h.c.)`` over i, j in one cluster).  ``kappa_default``
+    holds one weight per eigenvalue; ``degenerate`` flags a cluster of more
+    than one eigenvalue.
 
     ``span_residual`` is the larger of ``max_n ||v_n - P_n v_n||``, with
     ``v_n`` the unit eigenvectors of ``H^dagger`` and ``P_n`` the orthogonal
@@ -57,7 +59,7 @@ class MetricFamily:
     """
 
     dim: int
-    basis: tuple[np.ndarray, ...]
+    cluster_sizes: tuple[int, ...]
     spectral: mc.SpectralData
     kappa_default: np.ndarray
     degenerate: bool
@@ -66,7 +68,8 @@ class MetricFamily:
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "basis": [mc.matrix_to_json(B) for B in self.basis],
+            "cluster_sizes": list(self.cluster_sizes),
+            "left_vectors": mc.matrix_to_json(self.spectral.left_vectors),
             "kappa_default": [float(k) for k in self.kappa_default],
         }
 
@@ -105,8 +108,8 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
     Returns
     -------
     MetricFamily
-        The cluster basis (projectors first, then the within-cluster pair
-        elements) with all-ones default weights on the projectors.
+        The cluster sizes and left eigenvectors that fix the solution
+        family, with all-ones default weights (the metric ``L L^dagger``).
 
     Raises
     ------
@@ -137,24 +140,16 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
 
     gaps = np.abs(np.diff(spectral.eigenvalues))
     labels = np.concatenate(([0], np.cumsum(gaps >= tol * max(scale, 1e-300))))
-    Lv = spectral.left_vectors
-    basis = Lv.T[:, :, None] * Lv.T[:, None, :].conj()      # |L_n><L_n|
-    Q = Lv / np.linalg.norm(Lv, axis=0)
-    degenerate = bool(labels[-1] + 1 < dim)
+    cluster_sizes = np.bincount(labels)
+    Q = spectral.left_vectors / np.linalg.norm(spectral.left_vectors, axis=0)
+    degenerate = len(cluster_sizes) < dim
     if degenerate:
         warnings.warn(
             "eigenvalue gap below tolerance; metric family built per eigenvalue cluster",
             DegenerateSpectrumWarning,
             stacklevel=2,
         )
-        i, j = np.triu_indices(dim, 1)
-        same_cluster = labels[i] == labels[j]
-        i, j = i[same_cluster], j[same_cluster]
-        outer = Lv.T[i, :, None] * Lv.T[j, None, :].conj()    # |L_i><L_j|
-        adjoint = outer.conj().transpose(0, 2, 1)
-        pairs = np.stack([outer + adjoint, 1j * (outer - adjoint)], axis=1) / np.sqrt(2.0)
-        basis = np.concatenate([basis, pairs.reshape(-1, dim, dim)])
-        for b in np.unique(labels[i]):
+        for b in np.flatnonzero(cluster_sizes > 1):
             Q[:, labels == b] = np.linalg.qr(Q[:, labels == b])[0]
     residual = _eigensolve_disagreement(
         Hm, spectral.eigenvalues, Q, labels[:, None] == labels, scale
@@ -163,7 +158,7 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
         raise SpanMismatch(f"eigensolves of H and H^dagger disagree by {residual:.3e}")
     return MetricFamily(
         dim=dim,
-        basis=tuple(basis),
+        cluster_sizes=tuple(cluster_sizes.tolist()),
         spectral=spectral,
         kappa_default=np.ones(dim),
         degenerate=degenerate,

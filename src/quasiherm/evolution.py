@@ -140,10 +140,12 @@ def expectation(L, Theta, psi) -> complex:
 
     Real (to rounding) whenever L is quasi-Hermitian for the
     positive-definite metric; a complex value is the diagnostic signature of
-    a non-observable L.
+    a non-observable L.  The ratio is taken on the ``_unit_scaled`` copy of
+    psi, so it does not depend on the scale of psi.
     """
     Lm, Tm = mc.square_pair(L, Theta, "L", "Theta")
     v = mc.as_vector(psi, Tm.shape[0], "psi")
-    if np.linalg.norm(v) == 0.0:
+    if not v.any():
         raise ZeroState("expectation needs a nonzero state")
+    v, _ = mc._unit_scaled(v)
     return complex(physical_inner_product(v, Lm @ v, Tm) / physical_inner_product(v, v, Tm))

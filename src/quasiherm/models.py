@@ -318,22 +318,33 @@ _MAX_EVALUATIONS = 100
 _STACK = 256
 
 
+def _bisection_point(a: float, b: float) -> float:
+    """The midpoint of ``(a, b)``, or the geometric mean where the ends share
+    a sign and differ by more than a factor of 4 (an end at 0 counting as the
+    smallest normal float), so a cell across orders of magnitude narrows fast."""
+    lo, hi = abs(a) or np.finfo(float).tiny, abs(b) or np.finfo(float).tiny
+    m = float(np.copysign(np.sqrt(lo) * np.sqrt(hi), a or b))
+    if np.sign(a) * np.sign(b) >= 0 and max(lo, hi) > 4.0 * min(lo, hi) and a < m < b:
+        return m  # a < m < b fails only where the end beside a 0 is subnormal
+    return a + 0.5 * (b - a)
+
+
 def _refine(family, a: float, b: float, end_a, end_b, tol: float):
     """Narrow the flip cell ``[a, b]`` (real phase at a, broken at b).
 
     At an EP2 the squared splitting of the coalescing pair is analytic in
     the parameter and changes sign, so Illinois regula falsi on it reaches
     the crossing to rounding.  While ``_coalescing_pair`` refuses the
-    bracket, or once the pair is lost, the reality flag is bisected
-    instead.  Each end is ``(eigenvalues, fro)`` of its matrix.  Returns
-    ``(estimate, method, evaluations)``.
+    bracket, or once the pair is lost, the reality flag is bisected at
+    ``_bisection_point`` instead.  Each end is ``(eigenvalues, fro)`` of its
+    matrix.  Returns ``(estimate, method, evaluations)``.
     """
     method, evaluations, side = "bisection", 0, 0
     pair = _coalescing_pair(end_a, end_b)
     while evaluations < _MAX_EVALUATIONS and b - a > _BRACKET_RTOL * max(abs(a), abs(b)):
         if pair is None:
             method = "bisection"
-            m = a + 0.5 * (b - a)
+            m = _bisection_point(a, b)
             real, w, scale = _reality_flags(mc.as_square_matrix(family(m), "H")[None], tol)
             evaluations += 1
             if real[0]:

@@ -15,20 +15,22 @@ from quasiherm.models import parity, pt_chain, random_qh, toy_2x2
 
 @pytest.fixture
 def toy_file(tmp_path):
-    path = tmp_path / "toy.json"
-    path.write_text(json.dumps(mc.matrix_to_json(toy_2x2(2.0))))
-    return str(path)
+    return write_json(tmp_path / "toy.json", mc.matrix_to_json(toy_2x2(2.0)))
 
 
 @pytest.fixture
 def parity_params_file(tmp_path):
-    path = tmp_path / "params.json"
-    path.write_text(json.dumps([mc.matrix_to_json(parity(2))]))
-    return str(path)
+    return write_json(tmp_path / "params.json", [mc.matrix_to_json(parity(2))])
 
 
 def run(argv):
     return main(argv)
+
+
+def write_json(path, obj) -> str:
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +47,8 @@ def test_analyze_toy(toy_file, tmp_path):
 
 
 def test_analyze_broken_phase_exits_one(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(mc.matrix_to_json(pt_chain(2, 1.5))))
-    assert run(["analyze", "--input", str(path)]) == 1
+    path = write_json(tmp_path / "broken.json", mc.matrix_to_json(pt_chain(2, 1.5)))
+    assert run(["analyze", "--input", path]) == 1
 
 
 def test_analyze_csv_format(toy_file, tmp_path):
@@ -77,6 +78,7 @@ def test_metric_toy(toy_file, tmp_path):
     assert run(["metric", "--input", toy_file, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["solution_space_dim"] == 2
+    assert report["family"]["cluster_sizes"] == [1, 1]
     assert report["positive_definite"] is True
     assert report["qh_residual"] <= 1e-10
     theta = mc.matrix_from_json(report["default_metric"])
@@ -84,10 +86,23 @@ def test_metric_toy(toy_file, tmp_path):
     assert theta[0, 0].real == pytest.approx(4.0 * theta[1, 1].real, rel=1e-10)
 
 
+def test_metric_report_of_a_large_cluster_stays_small(tmp_path):
+    # I_24's family has 576 dimensions; the report holds O(d^2) numbers
+    path = write_json(tmp_path / "H.json", mc.matrix_to_json(np.eye(24)))
+    out = tmp_path / "metric.json"
+    with pytest.warns(DegenerateSpectrumWarning):
+        assert run(["metric", "--input", path, "--out", str(out)]) == 0
+    assert out.stat().st_size < 1_000_000
+    report = json.loads(out.read_text())
+    family, theta = report["family"], mc.matrix_from_json(report["default_metric"])
+    assert (report["solution_space_dim"], family["cluster_sizes"]) == (576, [24])
+    L = mc.matrix_from_json(family["left_vectors"])
+    assert mc.fro((L * family["kappa_default"]) @ L.conj().T - theta) <= 1e-12 * mc.fro(theta)
+
+
 def test_metric_broken_phase_exits_one(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(mc.matrix_to_json(pt_chain(2, 1.5))))
-    assert run(["metric", "--input", str(path)]) == 1
+    path = write_json(tmp_path / "broken.json", mc.matrix_to_json(pt_chain(2, 1.5)))
+    assert run(["metric", "--input", path]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +189,9 @@ def test_verify_corrupted_factor_fails_hermiticity_tag(toy_file, tmp_path):
     bumped = np.array(last["im"]).reshape(2, 2)
     bumped[0, 1] += 0.25      # breaks Hermiticity of Z_N only
     chain_obj["factors"][-1]["im"] = [float(x) for x in bumped.ravel()]
-    corrupted_path = tmp_path / "corrupted.json"
-    corrupted_path.write_text(json.dumps(chain_obj))
+    corrupted_path = write_json(tmp_path / "corrupted.json", chain_obj)
     verify_out = tmp_path / "verify.json"
-    assert run(["verify", "--input", str(corrupted_path), "--out", str(verify_out)]) == 1
+    assert run(["verify", "--input", corrupted_path, "--out", str(verify_out)]) == 1
     reverified = json.loads(verify_out.read_text())
     failed = [
         r["relation"] for r in reverified["ladder"]["relations"] if not r["pass"]
@@ -190,10 +204,9 @@ def test_verify_zero_factor_fails_its_relations(toy_file, tmp_path):
     assert run(["chain", "--input", toy_file, "--n-factors", "3", "--out", str(chain_out)]) == 0
     chain_obj = json.loads(chain_out.read_text())["chain"]
     chain_obj["factors"][0] = mc.matrix_to_json(np.zeros((2, 2)))
-    zeroed = tmp_path / "zeroed.json"
-    zeroed.write_text(json.dumps(chain_obj))
+    zeroed = write_json(tmp_path / "zeroed.json", chain_obj)
     verify_out = tmp_path / "verify.json"
-    assert run(["verify", "--input", str(zeroed), "--out", str(verify_out)]) == 1
+    assert run(["verify", "--input", zeroed, "--out", str(verify_out)]) == 1
     report = json.loads(verify_out.read_text())
     failed = [r["relation"] for r in report["theorem1"]["relations"] if not r["pass"]]
     assert {"product[Lambda_1]", "metric-identity[k=0]"} <= set(failed)
@@ -208,9 +221,8 @@ def test_verify_non_integer_header_exits_two(toy_file, tmp_path, field, value, c
     assert run(["chain", "--input", toy_file, "--out", str(chain_out)]) == 0
     chain_obj = json.loads(chain_out.read_text())["chain"]
     chain_obj[field] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(chain_obj))
-    assert run(["verify", "--input", str(bad)]) == 2
+    bad = write_json(tmp_path / "bad.json", chain_obj)
+    assert run(["verify", "--input", bad]) == 2
     assert "input error: InputFormatError" in capsys.readouterr().err
 
 
@@ -225,16 +237,14 @@ def test_verify_non_integer_header_exits_two(toy_file, tmp_path, field, value, c
     ids=["analyze-huge", "metric-huge", "chain-huge", "chain-tiny"],
 )
 def test_extreme_entry_scales_pass(command, entries, tmp_path):
-    path = tmp_path / "H.json"
-    path.write_text(json.dumps(mc.matrix_to_json(np.array(entries))))
-    assert run([command, "--input", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    path = write_json(tmp_path / "H.json", mc.matrix_to_json(np.array(entries)))
+    assert run([command, "--input", path, "--out", str(tmp_path / "out.json")]) == 0
 
 
 def test_metric_large_dimension_passes(tmp_path):
-    path = tmp_path / "H.json"
-    path.write_text(json.dumps(mc.matrix_to_json(pt_chain(64, 0.5))))
+    path = write_json(tmp_path / "H.json", mc.matrix_to_json(pt_chain(64, 0.5)))
     out = tmp_path / "metric.json"
-    assert run(["metric", "--input", str(path), "--out", str(out)]) == 0
+    assert run(["metric", "--input", path, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["solution_space_dim"] == 64
     assert report["span_residual"] <= 1e-8
@@ -268,9 +278,8 @@ def test_chain_wrong_param_count_exits_two(toy_file, parity_params_file):
 
 
 def test_chain_wrong_sized_param_exits_two(toy_file, tmp_path, capsys):
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps([mc.matrix_to_json(parity(3))]))
-    argv = ["chain", "--input", toy_file, "--params", str(params)]
+    params = write_json(tmp_path / "params.json", [mc.matrix_to_json(parity(3))])
+    argv = ["chain", "--input", toy_file, "--params", params]
     assert run(argv) == 2
     assert "input error: DimensionMismatch" in capsys.readouterr().err
 
@@ -289,8 +298,7 @@ def test_chain_reports_are_deterministic(toy_file, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_evolve_toy(toy_file, tmp_path):
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps(mc.vector_to_json(np.array([1.0, 0.0]))))
+    state = write_json(tmp_path / "state.json", mc.vector_to_json(np.array([1.0, 0.0])))
     out = tmp_path / "evolve.json"
     code = run(
         [
@@ -298,7 +306,7 @@ def test_evolve_toy(toy_file, tmp_path):
             "--input",
             toy_file,
             "--state",
-            str(state),
+            state,
             "--t-max",
             "10",
             "--samples",
@@ -316,8 +324,7 @@ def test_evolve_toy(toy_file, tmp_path):
 
 
 def test_evolve_csv(toy_file, tmp_path):
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps(mc.vector_to_json(np.array([1.0, 1.0]))))
+    state = write_json(tmp_path / "state.json", mc.vector_to_json(np.array([1.0, 1.0])))
     out = tmp_path / "traj.csv"
     code = run(
         [
@@ -325,7 +332,7 @@ def test_evolve_csv(toy_file, tmp_path):
             "--input",
             toy_file,
             "--state",
-            str(state),
+            state,
             "--samples",
             "11",
             "--tol",
@@ -343,11 +350,9 @@ def test_evolve_csv(toy_file, tmp_path):
 
 
 def evolve_files(tmp_path, H, psi):
-    matrix = tmp_path / "H.json"
-    matrix.write_text(json.dumps(mc.matrix_to_json(np.asarray(H))))
-    state = tmp_path / "psi.json"
-    state.write_text(json.dumps(mc.vector_to_json(np.asarray(psi))))
-    return ["evolve", "--input", str(matrix), "--state", str(state)]
+    matrix = write_json(tmp_path / "H.json", mc.matrix_to_json(np.asarray(H)))
+    state = write_json(tmp_path / "psi.json", mc.vector_to_json(np.asarray(psi)))
+    return ["evolve", "--input", matrix, "--state", state]
 
 
 def test_evolve_wrong_state_length_exits_two(tmp_path, capsys):
@@ -539,11 +544,6 @@ MALFORMED = {
     "float dim": lambda obj: {**obj, "dim": float(obj["dim"])},
     "string dim": lambda obj: {**obj, "dim": str(obj["dim"])},
 }
-
-
-def write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
 
 
 @settings(max_examples=15, deadline=None)

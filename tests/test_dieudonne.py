@@ -29,14 +29,23 @@ TOY_H = toy_2x2(2.0)
 TOY_THETA = toy_2x2_metric(2.0)
 
 
-def in_span(M, basis, tol=1e-10):
-    """Whether M lies in the real span of the (Hermitian) basis matrices."""
-    cols = np.column_stack(
-        [np.concatenate([B.real.ravel(), B.imag.ravel()]) for B in basis]
-    )
-    v = np.concatenate([M.real.ravel(), M.imag.ravel()])
-    coef, *_ = np.linalg.lstsq(cols, v, rcond=None)
-    return np.linalg.norm(cols @ coef - v) <= tol * max(1.0, np.linalg.norm(v))
+def off_cluster(family, X):
+    """Largest off-cluster ``|K|`` over the largest ``|K|``, ``K = R^dagger X R``.
+
+    ``L^dagger R = I``, so a Hermitian X is ``sum_b L_b K_b L_b^dagger``, a
+    member of the family, exactly when K vanishes off the cluster blocks.
+    """
+    R = family.spectral.right_vectors
+    K = np.abs(R.conj().T @ X @ R)
+    labels = np.repeat(np.arange(len(family.cluster_sizes)), family.cluster_sizes)
+    return K[labels[:, None] != labels].max(initial=0.0) / K.max()
+
+
+def assert_oracle_in_family(H, family):
+    oracle = null_space(H)
+    assert sum(m * m for m in family.cluster_sizes) == len(oracle)
+    for B in oracle:
+        assert off_cluster(family, B) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +54,10 @@ def in_span(M, basis, tol=1e-10):
 
 def test_solve_hermitian_diagonal():
     family = solve_metric_space(np.diag([1.0, 2.0]))
-    assert len(family.basis) == 2
-    np.testing.assert_allclose(family.basis[0], np.diag([1.0, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(family.basis[1], np.diag([0.0, 1.0]), atol=1e-14)
-    assert in_span(np.eye(2), family.basis)
-    assert in_span(np.eye(2), null_space(np.diag([1.0, 2.0])))
+    assert family.cluster_sizes == (1, 1)
+    np.testing.assert_allclose(family.spectral.left_vectors, np.eye(2), atol=1e-14)
+    assert off_cluster(family, np.eye(2)) <= 1e-10
+    assert_oracle_in_family(np.diag([1.0, 2.0]), family)
 
 
 def test_solve_toy_model_span():
@@ -61,8 +69,10 @@ def test_solve_toy_model_span():
         assert B[0, 0] == pytest.approx(4.0 * B[1, 1], abs=1e-12)
         assert abs(B[0, 1].imag) < 1e-12
         assert B[0, 1] == pytest.approx(B[1, 0].conjugate(), abs=1e-14)
-    assert in_span(TOY_THETA, oracle)
-    assert in_span(TOY_THETA, solve_metric_space(TOY_H).basis)
+    family = solve_metric_space(TOY_H)
+    assert family.cluster_sizes == (1, 1)
+    assert off_cluster(family, TOY_THETA) <= 1e-10
+    assert_oracle_in_family(TOY_H, family)
 
 
 def test_solve_rejects_complex_spectrum():
@@ -75,8 +85,8 @@ def test_solve_degenerate_spectrum_gives_block_family():
         family = solve_metric_space(np.eye(3))
     assert family.degenerate
     # every Hermitian matrix solves the equation for H = I
-    assert len(null_space(np.eye(3))) == 9
-    assert len(family.basis) == 9
+    assert family.cluster_sizes == (3,)
+    assert_oracle_in_family(np.eye(3), family)
     theta = metric_from_weights(family, family.kappa_default)
     assert mc.positive_metric(theta)[0]
     assert check_quasi_hermitian(np.eye(3), theta) <= 1e-10
@@ -112,10 +122,8 @@ def test_cluster_family_spans_the_null_space(seed, multiplicities, k):
         warnings.simplefilter("always", DegenerateSpectrumWarning)
         family = solve_metric_space(H)
     assert family.degenerate == (max(multiplicities) > 1) == bool(caught)
-    size = sum(m * m for m in multiplicities)
-    oracle = null_space(H)
-    assert len(family.basis) == size == len(oracle)
-    assert span_residual(oracle, family.basis) <= 1e-8
+    assert family.cluster_sizes == tuple(multiplicities)
+    assert_oracle_in_family(H, family)
     theta = metric_from_weights(family, family.kappa_default)
     assert mc.positive_metric(theta)[0]
     assert check_quasi_hermitian(H, theta) <= 1e-10
@@ -140,7 +148,7 @@ def test_large_dimension_doubled_eigenvalue():
     H = similar_to_diagonal(eigenvalues, 64)
     with pytest.warns(DegenerateSpectrumWarning):
         family = solve_metric_space(H)
-    assert len(family.basis) == 66
+    assert family.cluster_sizes == (2,) + (1,) * 62
     assert family.span_residual <= 1e-8
     theta = metric_from_weights(family, family.kappa_default)
     assert mc.positive_metric(theta)[0]
@@ -152,28 +160,9 @@ def test_solution_space_dimension_and_span_agreement(dim):
     for seed in range(8):
         H, _ = random_qh(dim, 1000 * dim + seed)
         family = solve_metric_space(H)
+        assert family.cluster_sizes == (1,) * dim
         assert len(null_space(H)) == dim
-        assert len(family.basis) == dim
         assert family.span_residual <= 1e-8
-
-
-def realcols(X):
-    """Stacked matrices as real columns ``(re.ravel(), im.ravel())``."""
-    flat = np.asarray(X).reshape(len(X), -1)
-    return np.concatenate([flat.real, flat.imag], axis=1).T
-
-
-def span_residual(first, second):
-    """Largest relative distance between either span and the other's projection."""
-    if not len(first) or not len(second):
-        return np.inf
-    A, B = realcols(first), realcols(second)
-    worst = 0.0
-    for span, other in ((A, B), (B, A)):
-        Q = np.linalg.qr(span)[0]
-        resid = np.linalg.norm(other - Q @ (Q.T @ other), axis=0)
-        worst = max(worst, float((resid / np.linalg.norm(other, axis=0)).max()))
-    return worst
 
 
 @pytest.mark.parametrize(
@@ -184,9 +173,8 @@ def span_residual(first, second):
 )
 def test_spectral_basis_spans_the_null_space(H):
     family = solve_metric_space(H)
-    oracle = null_space(H)
-    assert len(oracle) == len(family.basis) == H.shape[0]
-    assert span_residual(oracle, family.basis) <= 1e-8
+    assert family.cluster_sizes == (1,) * H.shape[0]
+    assert_oracle_in_family(H, family)
 
 
 def test_corrupted_left_vector_raises_span_mismatch(monkeypatch):
@@ -224,8 +212,8 @@ def test_large_dimension_default_metric():
 def test_basis_elements_solve_the_equation():
     for seed in (0, 1):
         H, _ = random_qh(5, seed)
-        family = solve_metric_space(H)
-        for B in family.basis + tuple(null_space(H)):
+        assert_oracle_in_family(H, solve_metric_space(H))
+        for B in null_space(H):
             assert mc.hermitian_defect(B) <= 1e-12 * max(1.0, mc.entry_norm(B))
             residual = mc.fro(H.conj().T @ B - B @ H)
             assert residual <= 1e-10 * mc.fro(H) * mc.fro(B)

@@ -212,10 +212,11 @@ def test_expectation_identity_is_one():
 
 
 def test_expectation_metric_observable_value():
-    # <psi|Theta^2|psi> = 17 against <psi|Theta|psi> = 5
-    got = expectation(TOY_THETA, TOY_THETA, [1.0, 1.0])
-    assert got == pytest.approx(17.0 / 5.0, abs=1e-14)
-    assert abs(got.imag) <= 1e-15
+    # <psi|Theta^2|psi> = 17 against <psi|Theta|psi> = 5, at any scale of psi
+    for s in (1.0, 1e-170, 1e160):
+        got = expectation(TOY_THETA, TOY_THETA, [s, s])
+        assert got == pytest.approx(17.0 / 5.0, abs=1e-14)
+        assert abs(got.imag) <= 1e-15
 
 
 def test_expectation_flags_non_observable():

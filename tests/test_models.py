@@ -345,13 +345,24 @@ def test_sweep_estimate_does_not_depend_on_the_matrix_scale(scale):
     assert abs(result.critical_estimate - 1.0) <= 1e-12
 
 
-def test_sweep_refinement_is_capped():
-    # halving the flip cell [0, 5e298] down to the flag's flip at 0.5 takes
-    # about 1000 steps; the refinement stops after _MAX_EVALUATIONS
-    def family(g):
-        return np.diag([1.0 + 1j * max(g - 0.5, 0.0), -1.0])
+def _flag_flips_at_half(g):
+    # the eigenvalue leaves the real axis alone at 0.5, so the flag alone is bisected
+    return np.diag([1.0 + 1j * max(g - 0.5, 0.0), -1.0])
 
-    result = sweep_exceptional(family, 0.0, 1e300, 21)
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-14])
+def test_sweep_bisection_crosses_orders_of_magnitude(tol):
+    # geometric steps narrow the flip cell [0, 5e298] to the flag's flip,
+    # where |Im lambda| / ||H||_F = tol: gamma = 0.5 + sqrt(2) tol
+    result = sweep_exceptional(_flag_flips_at_half, 0.0, 1e300, 21, tol=tol)
     assert result.critical_method == "bisection"
-    assert result.critical_evaluations == models._MAX_EVALUATIONS
-    assert 0.0 <= result.critical_estimate <= result.parameter_values[1]
+    assert result.critical_evaluations < models._MAX_EVALUATIONS
+    assert result.critical_estimate == pytest.approx(0.5 + np.sqrt(2.0) * tol, rel=1e-12)
+
+
+def test_sweep_refinement_is_capped(monkeypatch):
+    monkeypatch.setattr(models, "_MAX_EVALUATIONS", 3)
+    result = sweep_exceptional(_flag_flips_at_half, 0.0, 1e300, 21)
+    assert result.critical_method == "bisection"
+    assert result.critical_evaluations == 3
+    assert 0.0 < result.critical_estimate < result.parameter_values[1]
