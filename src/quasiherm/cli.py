@@ -131,11 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, report: dict, csv_text: str | None = None) -> None:
-    if args.format == "csv":
-        payload = csv_text
-    else:
-        payload = json.dumps(report, indent=2) + "\n"
+def _emit(args, report: dict, csv_text: str | None) -> None:
+    """Write the JSON report, or the CSV text under ``--format csv``, to --out or stdout."""
+    payload = csv_text if args.format == "csv" else json.dumps(report, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
@@ -149,24 +147,20 @@ def _default_metric(H, tol: float):
     return family, theta
 
 
-def _emit_verified(args, chain, /, **extra) -> int:
-    """Emit ``extra`` and the ladder and Theorem 1 reports of ``chain``;
-    exit 0 when both pass."""
-    ladder, theorem = verify_chain(chain, args.tol), verify_theorem1(chain, args.tol)
-    report = {"command": args.command, "tol": args.tol, **extra}
-    for key, rep in (("ladder", ladder), ("theorem1", theorem)):
-        report[key] = {"tol": rep.tol, "overall_pass": rep.overall_pass, "relations": rep.to_json()}
-    _emit(args, report)
-    return 0 if ladder.overall_pass and theorem.overall_pass else 1
+def _verified(chain, tol: float, /, **body):
+    """``body`` with the ladder and Theorem 1 reports of ``chain``; exit 0
+    when both pass."""
+    reports = {"ladder": verify_chain(chain, tol), "theorem1": verify_theorem1(chain, tol)}
+    for key, rep in reports.items():
+        body[key] = {"tol": rep.tol, "overall_pass": rep.overall_pass, "relations": rep.to_json()}
+    return (0 if all(rep.overall_pass for rep in reports.values()) else 1), body, None
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     H = mc.load_matrix(args.input)
     real, max_imag = spectral_reality(H, args.tol)
     sd = mc.eig(H)
-    report = {
-        "command": "analyze",
-        "tol": args.tol,
+    body = {
         "dim": int(H.shape[0]),
         "hermitian_defect": mc.hermitian_defect(H),
         "eigenvalues": [{"re": float(w.real), "im": float(w.imag)} for w in sd.eigenvalues],
@@ -174,21 +168,16 @@ def _cmd_analyze(args) -> int:
         "spectral_reality": bool(real),
         "max_imag": max_imag,
     }
-    csv_lines = ["re,im"] + [
-        f"{w.real!r},{w.imag!r}" for w in sd.eigenvalues
-    ]
-    _emit(args, report, "\n".join(csv_lines) + "\n")
-    return 0 if real else 1
+    csv_text = mc.csv_text(["re", "im"], ([w.real, w.imag] for w in sd.eigenvalues))
+    return (0 if real else 1), body, csv_text
 
 
-def _cmd_metric(args) -> int:
+def _cmd_metric(args):
     H = mc.load_matrix(args.input)
     family, theta = _default_metric(H, args.tol)
     positive, lam_min = mc.positive_metric(theta)
     residual = check_quasi_hermitian(H, theta)
-    report = {
-        "command": "metric",
-        "tol": args.tol,
+    body = {
         "family": family.to_json(),
         "solution_space_dim": sum(m * m for m in family.cluster_sizes),
         "span_residual": family.span_residual,
@@ -198,8 +187,7 @@ def _cmd_metric(args) -> int:
         "smallest_eigenvalue": lam_min,
         "qh_residual": residual,
     }
-    _emit(args, report)
-    return 0 if positive and residual <= args.tol else 1
+    return (0 if positive and residual <= args.tol else 1), body, None
 
 
 def _load_params(path) -> list[np.ndarray]:
@@ -209,7 +197,7 @@ def _load_params(path) -> list[np.ndarray]:
     return [mc.matrix_from_json(obj) for obj in arr]
 
 
-def _cmd_chain(args) -> int:
+def _cmd_chain(args):
     H = mc.load_matrix(args.input)
     if args.n_factors < 1:
         raise InputFormatError("--n-factors must be at least 1")
@@ -223,22 +211,19 @@ def _cmd_chain(args) -> int:
             )
     else:
         rng = DeterministicRng(args.seed + _DRAW_SEED_OFFSET)
-        params = [
-            random_hermitian_invertible(H.shape[0], rng)
-            for _ in range(args.n_factors - 1)
-        ]
+        params = [random_hermitian_invertible(H.shape[0], rng) for _ in range(args.n_factors - 1)]
     chain = build_chain(H, theta, params)
-    return _emit_verified(args, chain, chain=chain.to_json())
+    return _verified(chain, args.tol, chain=chain.to_json())
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     obj = mc.read_json(args.input, "chain")
     if isinstance(obj, dict) and "chain" in obj:
         obj = obj["chain"]          # accept whole `chain` command reports
-    return _emit_verified(args, ObservableChain.from_json(obj))
+    return _verified(ObservableChain.from_json(obj), args.tol)
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args):
     H = mc.load_matrix(args.input)
     psi0 = mc.load_vector(args.state)
     if args.samples < 2 or args.t_max <= 0:
@@ -246,45 +231,27 @@ def _cmd_evolve(args) -> int:
     _, theta = _default_metric(H, args.tol)
     times = np.linspace(0.0, args.t_max, args.samples)
     record = norm_trajectory(H, theta, psi0, times)
-    report = {
-        "command": "evolve",
-        "tol": args.tol,
-        "metric": mc.matrix_to_json(theta),
-        "trajectory": record.to_json(),
-    }
-    _emit(args, report, record.to_csv())
-    return 0 if record.drift <= args.tol and record.dual_residual <= args.tol else 1
+    body = {"metric": mc.matrix_to_json(theta), "trajectory": record.to_json()}
+    code = 0 if record.drift <= args.tol and record.dual_residual <= args.tol else 1
+    return code, body, record.to_csv()
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     result = sweep_exceptional(
-        lambda g: pt_chain(args.dim, g),
-        args.range_lo,
-        args.range_hi,
-        args.samples,
-        tol=args.tol,
+        lambda g: pt_chain(args.dim, g), args.range_lo, args.range_hi, args.samples, tol=args.tol
     )
-    report = {
-        "command": "sweep",
-        "tol": args.tol,
-        "dim": args.dim,
-        "summary": result.to_json(),
-    }
-    _emit(args, report, result.to_csv())
-    return 0
+    return 0, {"dim": args.dim, "summary": result.to_json()}, result.to_csv()
 
 
-def _cmd_suite(args) -> int:
+#: the worst residuals a suite run reports, in report order
+_SUITE_RESIDUALS = ("ladder", "theorem1", "spectrum_imag", "norm_drift", "dual_residual")
+
+
+def _cmd_suite(args):
     if args.samples < 1 or args.n_factors < 1:
         raise InputFormatError("--samples and --n-factors must be positive")
     dims = (2, 3, 4, 5, 6)
-    worst = {
-        "ladder": 0.0,
-        "theorem1": 0.0,
-        "spectrum_imag": 0.0,
-        "norm_drift": 0.0,
-        "dual_residual": 0.0,
-    }
+    worst = [0.0] * len(_SUITE_RESIDUALS)
     systems = []
     for i in range(args.samples):
         seed = args.seed + i
@@ -305,35 +272,20 @@ def _cmd_suite(args) -> int:
         )
         psi0 = np.array([rng.normal() + 1j * rng.normal() for _ in range(dim)])
         record = norm_trajectory(H, theta, psi0, np.linspace(0.0, 5.0, 21))
-        worst["ladder"] = max(worst["ladder"], *(r.residual for r in ladder.relations))
-        worst["theorem1"] = max(
-            worst["theorem1"], *(r.residual for r in theorem.relations)
-        )
-        worst["spectrum_imag"] = max(worst["spectrum_imag"], spectrum_imag)
-        worst["norm_drift"] = max(worst["norm_drift"], record.drift)
-        worst["dual_residual"] = max(worst["dual_residual"], record.dual_residual)
+        residuals = [[r.residual for r in rep.relations] for rep in (ladder, theorem)]
+        residuals += [spectrum_imag], [record.drift], [record.dual_residual]
+        worst = [max(w, *values) for w, values in zip(worst, residuals)]
         systems.append(
-            {
-                "seed": seed,
-                "dim": dim,
-                "N": depth,
-                "ladder_pass": ladder.overall_pass,
-                "theorem1_pass": theorem.overall_pass,
-            }
+            {"seed": seed, "dim": dim, "N": depth,
+             "ladder_pass": ladder.overall_pass, "theorem1_pass": theorem.overall_pass}
         )
-    ok = all(v <= args.tol for v in worst.values())
+    ok = all(v <= args.tol for v in worst)
     ok = ok and all(s["ladder_pass"] and s["theorem1_pass"] for s in systems)
-    report = {
-        "command": "suite",
-        "tol": args.tol,
-        "systems": systems,
-        "worst_residuals": worst,
-        "pass": ok,
-    }
-    _emit(args, report)
-    return 0 if ok else 1
+    body = {"systems": systems, "worst_residuals": dict(zip(_SUITE_RESIDUALS, worst)), "pass": ok}
+    return (0 if ok else 1), body, None
 
 
+#: each command returns (exit code, report body, CSV text or None); ``main`` emits them
 _DISPATCH = {
     "analyze": _cmd_analyze,
     "metric": _cmd_metric,
@@ -351,7 +303,8 @@ def main(argv=None) -> int:
     try:
         if args.tol <= 0:
             raise InputFormatError("--tol must be positive")
-        code = _DISPATCH[args.command](args)
+        code, body, csv_text = _DISPATCH[args.command](args)
+        _emit(args, {"command": args.command, "tol": args.tol, **body}, csv_text)
     except (
         InputFormatError, BadRange, BadDimension, DimensionMismatch, ZeroParameter, ZeroState
     ) as exc:
@@ -363,11 +316,8 @@ def main(argv=None) -> int:
     except QuasihermError as exc:
         print(f"quasiherm: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(
-        f"quasiherm {args.command}: finished in "
-        f"{time.perf_counter() - started:.3f}s",
-        file=sys.stderr,
-    )
+    elapsed = time.perf_counter() - started
+    print(f"quasiherm {args.command}: finished in {elapsed:.3f}s", file=sys.stderr)
     return code
 
 

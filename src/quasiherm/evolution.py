@@ -15,8 +15,6 @@ an independent oracle.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,19 +54,12 @@ class TrajectoryRecord:
         }
 
     def to_csv(self) -> str:
-        dim = self.states.shape[1]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = ["t", "norm"]
-        for j in range(dim):
-            header += [f"re_psi{j}", f"im_psi{j}"]
-        writer.writerow(header)
-        for t, n, psi in zip(self.times, self.norms, self.states):
-            row = [repr(float(t)), repr(float(n))]
-            for x in psi:
-                row += [repr(float(x.real)), repr(float(x.imag))]
-            writer.writerow(row)
-        return buf.getvalue()
+        parts = [f"{part}_psi{j}" for j in range(self.states.shape[1]) for part in ("re", "im")]
+        rows = (
+            [t, n, *(part for x in psi for part in (x.real, x.imag))]
+            for t, n, psi in zip(self.times, self.norms, self.states)
+        )
+        return mc.csv_text(["t", "norm", *parts], rows)
 
 
 def propagate(H, psi0, t: float) -> np.ndarray:
@@ -115,20 +106,21 @@ def norm_trajectory(H, Theta, psi0, times, check: bool = True) -> TrajectoryReco
     psi, e = mc._unit_scaled(psi)
     Hdag = Hm.conj().T
     theta_psi = Tm @ psi
-    states, duals, norms = [], [], []
+    states, duals, norms, residuals = [], [], [], []
     for t in ts:
         phi = mc.mat_exp(-1j * t * Hm) @ psi
+        chi = mc.mat_exp(-1j * t * Hdag) @ theta_psi
+        theta_phi = Tm @ phi
         states.append(phi)
-        duals.append(mc.mat_exp(-1j * t * Hdag) @ theta_psi)
-        norms.append(physical_inner_product(phi, phi, Tm).real)
+        duals.append(chi)
+        norms.append(np.vdot(phi, theta_phi).real)
+        residuals.append(mc.rel_residual(chi - theta_phi, Tm, phi))
     states = np.array(states)
     duals = np.array(duals)
     norms = np.array(norms)
 
     drift = float(np.abs(norms - norms[0]).max() / abs(norms[0]))
-    worst = max(
-        mc.rel_residual(chi - Tm @ phi, Tm, phi) for phi, chi in zip(states, duals)
-    )
+    worst = max(residuals)
     with np.errstate(over="ignore"):  # a norm beyond the float range reads inf
         states, duals = (np.ldexp(X.view(np.float64), -e).view(complex) for X in (states, duals))
         norms = np.ldexp(norms, -2 * e)

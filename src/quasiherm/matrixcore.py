@@ -5,8 +5,9 @@ dtype complex128.  This module owns the validation helpers (including the
 one operand-pair gate ``square_pair`` and the one admissible-metric gate
 ``require_positive_metric``), the biorthogonal eigendecomposition,
 inversion, the package's one matrix exponential (its Pade routine is
-imported on the first call, so importing this module loads numpy alone)
-and the JSON interchange format used by every other module and the CLI.
+imported on the first call, so importing this module loads numpy alone),
+the JSON interchange format used by every other module and the CLI, and the
+one CSV encoder behind every CSV report.
 
 All functions are pure: inputs are never mutated and no module state exists,
 so concurrent calls from independent tasks are safe.
@@ -14,6 +15,8 @@ so concurrent calls from independent tasks are safe.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -392,3 +395,17 @@ def load_matrix(path) -> np.ndarray:
 def load_vector(path) -> np.ndarray:
     """Read a vector interchange JSON file."""
     return vector_from_json(read_json(path, "vector"))
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header row and ``rows``, with ``\\n`` line ends.
+
+    A Python ``int`` cell (a 0/1 flag) is written as it is; every other cell
+    as ``repr(float(x))``, the shortest text that reads back to the same
+    64-bit float, so each cell equals the JSON report's value bit for bit.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([x if type(x) is int else repr(float(x)) for x in row] for row in rows)
+    return buf.getvalue()

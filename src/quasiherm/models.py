@@ -10,8 +10,6 @@ matrices byte for byte across runs and platforms.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +21,7 @@ from .errors import (
     BadRange,
     ComplexSpectrum,
     DefectiveMatrix,
+    DimensionMismatch,
     SpanMismatch,
     ZeroParameter,
 )
@@ -237,14 +236,9 @@ class SweepResult:
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["parameter", "reality", "positivity"])
-        for x, r, p in zip(
-            self.parameter_values, self.reality_flags, self.positivity_flags
-        ):
-            writer.writerow([repr(float(x)), int(r), int(p)])
-        return buf.getvalue()
+        flags = zip(self.parameter_values, self.reality_flags, self.positivity_flags)
+        rows = ([x, int(r), int(p)] for x, r, p in flags)
+        return mc.csv_text(["parameter", "reality", "positivity"], rows)
 
 
 def _reality_flags(H, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -345,7 +339,7 @@ def _refine(family, a: float, b: float, end_a, end_b, tol: float):
         if pair is None:
             method = "bisection"
             m = _bisection_point(a, b)
-            real, w, scale = _reality_flags(mc.as_square_matrix(family(m), "H")[None], tol)
+            real, w, scale = _reality_flags(family(m)[None], tol)
             evaluations += 1
             if real[0]:
                 a, end_a = m, (w[0], scale[0])
@@ -360,7 +354,7 @@ def _refine(family, a: float, b: float, end_a, end_b, tol: float):
         c = b - (b - a) * (fb / (fb - fa))
         if not a < c < b:
             c = a + 0.5 * (b - a)
-        Hc = mc.as_square_matrix(family(c), "H")
+        Hc = family(c)
         end_c = np.linalg.eigvals(Hc), mc.fro(Hc)
         evaluations += 1
         fc = _squared_splitting(*end_c, centre)
@@ -395,15 +389,27 @@ def sweep_exceptional(
     most, so the estimate is relative to the parameter's scale and the
     sweep always returns.  ``critical_method`` and ``critical_evaluations``
     of the result say which loop made the estimate and at what cost.
+    A matrix, on the grid or probed by the refinement, whose shape differs
+    from that of ``family(lo)`` raises DimensionMismatch naming its parameter.
     """
     if not (lo < hi and np.isfinite(float(hi) - float(lo))):
         raise BadRange(f"need lo < hi a finite distance apart, got [{lo}, {hi}]")
     if int(samples) != samples or samples < 2:
         raise BadRange("need at least 2 samples")
     grid = np.linspace(lo, hi, int(samples))
+    shape = None
+
+    def member(x: float) -> np.ndarray:
+        nonlocal shape
+        H = mc.as_square_matrix(family(x), "H")
+        shape = shape or H.shape
+        if H.shape != shape:
+            raise DimensionMismatch(f"family({x!r}) has shape {H.shape}, not {shape}")
+        return H
+
     reality, positivity, ends = [], [], []
     for start in range(0, len(grid), _STACK):
-        H = np.stack([mc.as_square_matrix(family(float(x)), "H") for x in grid[start:start + _STACK]])
+        H = np.stack([member(float(x)) for x in grid[start:start + _STACK]])
         real, w, scale = _reality_flags(H, tol)
         reality += real.tolist()
         positivity += [r and _positive_phase(h, tol) for r, h in zip(reality[start:], H)]
@@ -413,7 +419,7 @@ def sweep_exceptional(
     if reality[0] and not reality[-1]:
         flip = next(i for i in range(len(grid) - 1) if reality[i] and not reality[i + 1])
         critical, method, evaluations = _refine(
-            family, float(grid[flip]), float(grid[flip + 1]), ends[flip], ends[flip + 1], tol
+            member, float(grid[flip]), float(grid[flip + 1]), ends[flip], ends[flip + 1], tol
         )
 
     return SweepResult(

@@ -33,6 +33,21 @@ def write_json(path, obj) -> str:
     return str(path)
 
 
+def json_and_csv(argv, tmp_path):
+    """The JSON report and the CSV rows (header first) of one command run twice."""
+    as_json, as_csv = tmp_path / "report.json", tmp_path / "report.csv"
+    assert run(argv + ["--out", str(as_json)]) == 0
+    assert run(argv + ["--format", "csv", "--out", str(as_csv)]) == 0
+    rows = [line.split(",") for line in as_csv.read_text().splitlines()]
+    return json.loads(as_json.read_text()), rows
+
+
+def assert_same_floats(cells, values):
+    """Each CSV cell reads back to its JSON value bit for bit (sign of zero included)."""
+    assert len(cells) == len(values)
+    assert [float(c).hex() for c in cells] == [float(v).hex() for v in values]
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -51,12 +66,14 @@ def test_analyze_broken_phase_exits_one(tmp_path):
     assert run(["analyze", "--input", path]) == 1
 
 
-def test_analyze_csv_format(toy_file, tmp_path):
-    out = tmp_path / "eigs.csv"
-    assert run(["analyze", "--input", toy_file, "--format", "csv", "--out", str(out)]) == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "re,im"
-    assert len(lines) == 3
+def test_analyze_csv_format(tmp_path):
+    H, _ = random_qh(5, 3)
+    path = write_json(tmp_path / "H.json", mc.matrix_to_json(H))
+    report, rows = json_and_csv(["analyze", "--input", path], tmp_path)
+    assert rows[0] == ["re", "im"]
+    assert len(rows) == 6
+    for part, column in (("re", 0), ("im", 1)):
+        assert_same_floats([r[column] for r in rows[1:]], [e[part] for e in report["eigenvalues"]])
 
 
 def test_analyze_garbage_input_exits_two(tmp_path):
@@ -284,13 +301,41 @@ def test_chain_wrong_sized_param_exits_two(toy_file, tmp_path, capsys):
     assert "input error: DimensionMismatch" in capsys.readouterr().err
 
 
-def test_chain_reports_are_deterministic(toy_file, tmp_path):
-    first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
-    argv = ["chain", "--input", toy_file, "--n-factors", "3", "--seed", "5"]
+REPORTS = {
+    "analyze": ["analyze", "--input", "{H}"],
+    "metric": ["metric", "--input", "{H}"],
+    "chain": ["chain", "--input", "{H}", "--n-factors", "3", "--seed", "5"],
+    "verify": ["verify", "--input", "{chain}"],
+    "evolve": ["evolve", "--input", "{H}", "--state", "{psi}", "--samples", "11"],
+    "sweep": ["sweep", "--range-lo", "0", "--range-hi", "2", "--samples", "5"],
+    "suite": ["suite", "--samples", "3"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, form",
+    [(c, "json") for c in REPORTS] + [(c, "csv") for c in ("analyze", "evolve", "sweep")],
+)
+def test_chain_reports_are_deterministic(tmp_path, command, form):
+    H, _ = random_qh(3, 2)
+    files = {"H": write_json(tmp_path / "H.json", mc.matrix_to_json(H)),
+             "psi": write_json(tmp_path / "psi.json", mc.vector_to_json(np.ones(3))),
+             "chain": str(tmp_path / "chain.json")}
+    assert run(["chain", "--input", files["H"], "--out", files["chain"]]) == 0
+    argv = [arg.format(**files) for arg in REPORTS[command]] + ["--format", form] * (form == "csv")
+    first, second = tmp_path / "a.out", tmp_path / "b.out"
     assert run(argv + ["--out", str(first)]) == 0
     assert run(argv + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("command, form", [("analyze", "json"), ("sweep", "csv")])
+def test_unwritable_out_is_an_io_error(toy_file, tmp_path, capsys, command, form):
+    argv = [arg.format(H=toy_file) for arg in REPORTS[command]] + ["--format", form]
+    assert run(argv + ["--out", str(tmp_path / "missing" / "report")]) == 2
+    captured = capsys.readouterr()
+    assert "quasiherm: i/o error" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +392,17 @@ def test_evolve_csv(toy_file, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("t,norm,re_psi0")
     assert len(lines) == 12
+
+    H, _ = random_qh(3, 4)
+    argv = evolve_files(tmp_path, H, [1.0, -2.5j, 1e-3]) + ["--samples", "11"]
+    report, rows = json_and_csv(argv, tmp_path)
+    trajectory = report["trajectory"]
+    assert rows[0] == ["t", "norm"] + [f"{p}_psi{j}" for j in range(3) for p in ("re", "im")]
+    assert_same_floats([r[0] for r in rows[1:]], trajectory["times"])
+    assert_same_floats([r[1] for r in rows[1:]], trajectory["norms"])
+    for row, state in zip(rows[1:], trajectory["states"], strict=True):
+        assert_same_floats(row[2::2], state["re"])
+        assert_same_floats(row[3::2], state["im"])
 
 
 def evolve_files(tmp_path, H, psi):
@@ -440,6 +496,15 @@ def test_sweep_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "parameter,reality,positivity"
     assert len(lines) == 6
+
+    argv = ["sweep", "--dim", "3", "--range-lo", "-1e-3", "--range-hi", "2.3", "--samples", "7"]
+    report, rows = json_and_csv(argv, tmp_path)
+    summary = report["summary"]
+    assert_same_floats([r[0] for r in rows[1:]], summary["parameter_values"])
+    for column, key in ((1, "reality_flags"), (2, "positivity_flags")):
+        cells = [r[column] for r in rows[1:]]
+        assert set(cells) <= {"0", "1"}
+        assert cells == [str(int(flag)) for flag in summary[key]]
 
 
 def test_sweep_bad_range_exits_two():

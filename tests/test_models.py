@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 from quasiherm import matrixcore as mc
 from quasiherm import models
 from quasiherm.dieudonne import check_quasi_hermitian
-from quasiherm.errors import BadDimension, BadRange, DefectiveMatrix, ZeroParameter
+from quasiherm.errors import (
+    BadDimension,
+    BadRange,
+    DefectiveMatrix,
+    DimensionMismatch,
+    ZeroParameter,
+)
 from quasiherm.models import (
     DeterministicRng,
     parity,
@@ -366,3 +372,16 @@ def test_sweep_refinement_is_capped(monkeypatch):
     assert result.critical_method == "bisection"
     assert result.critical_evaluations == 3
     assert 0.0 < result.critical_estimate < result.parameter_values[1]
+
+
+GRID = set(np.linspace(0.0, 2.0, 5).tolist())
+
+
+@pytest.mark.parametrize(
+    "family",
+    [lambda g: pt_chain(2 if g < 1 else 3, g), lambda g: pt_chain(4 if g in GRID else 3, g)],
+    ids=["on the grid", "off the grid"],
+)
+def test_sweep_refuses_a_family_that_changes_size(family):
+    with pytest.raises(DimensionMismatch, match=r"family\(.*\) has shape \(3, 3\)"):
+        sweep_exceptional(family, 0.0, 2.0, 5)
