@@ -131,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, report: dict, csv_text: str | None) -> None:
-    """Write the JSON report, or the CSV text under ``--format csv``, to --out or stdout."""
-    payload = csv_text if args.format == "csv" else json.dumps(report, indent=2) + "\n"
+def _emit(args, report: dict, to_csv) -> None:
+    """Write the JSON report, or ``to_csv()`` under ``--format csv``, to --out or stdout."""
+    payload = to_csv() if args.format == "csv" else json.dumps(report, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
@@ -168,14 +168,14 @@ def _cmd_analyze(args):
         "spectral_reality": bool(real),
         "max_imag": max_imag,
     }
-    csv_text = mc.csv_text(["re", "im"], ([w.real, w.imag] for w in sd.eigenvalues))
-    return (0 if real else 1), body, csv_text
+    rows = ([w.real, w.imag] for w in sd.eigenvalues)
+    return (0 if real else 1), body, lambda: mc.csv_text(["re", "im"], rows)
 
 
 def _cmd_metric(args):
     H = mc.load_matrix(args.input)
     family, theta = _default_metric(H, args.tol)
-    positive, lam_min = mc.positive_metric(theta)
+    positive, lam_min = mc.is_positive_definite(theta)
     residual = check_quasi_hermitian(H, theta)
     body = {
         "family": family.to_json(),
@@ -233,14 +233,14 @@ def _cmd_evolve(args):
     record = norm_trajectory(H, theta, psi0, times)
     body = {"metric": mc.matrix_to_json(theta), "trajectory": record.to_json()}
     code = 0 if record.drift <= args.tol and record.dual_residual <= args.tol else 1
-    return code, body, record.to_csv()
+    return code, body, record.to_csv
 
 
 def _cmd_sweep(args):
     result = sweep_exceptional(
         lambda g: pt_chain(args.dim, g), args.range_lo, args.range_hi, args.samples, tol=args.tol
     )
-    return 0, {"dim": args.dim, "summary": result.to_json()}, result.to_csv()
+    return 0, {"dim": args.dim, "summary": result.to_json()}, result.to_csv
 
 
 #: the worst residuals a suite run reports, in report order
@@ -285,7 +285,7 @@ def _cmd_suite(args):
     return (0 if ok else 1), body, None
 
 
-#: each command returns (exit code, report body, CSV text or None); ``main`` emits them
+#: each command returns (exit code, report body, CSV builder or None); ``main`` emits them
 _DISPATCH = {
     "analyze": _cmd_analyze,
     "metric": _cmd_metric,
@@ -303,8 +303,8 @@ def main(argv=None) -> int:
     try:
         if args.tol <= 0:
             raise InputFormatError("--tol must be positive")
-        code, body, csv_text = _DISPATCH[args.command](args)
-        _emit(args, {"command": args.command, "tol": args.tol, **body}, csv_text)
+        code, body, to_csv = _DISPATCH[args.command](args)
+        _emit(args, {"command": args.command, "tol": args.tol, **body}, to_csv)
     except (
         InputFormatError, BadRange, BadDimension, DimensionMismatch, ZeroParameter, ZeroState
     ) as exc:

@@ -48,9 +48,7 @@ class MetricFamily:
     clusters in sorted-eigenvalue order; with the left vectors in
     ``spectral`` they fix every solution ``sum_b L_b K_b L_b^dagger``, whose
     real dimension is ``sum_b m_b^2`` (the span of ``|L_i><L_j|`` + h.c. and
-    ``i(|L_i><L_j| - h.c.)`` over i, j in one cluster).  ``kappa_default``
-    holds one weight per eigenvalue; ``degenerate`` flags a cluster of more
-    than one eigenvalue.
+    ``i(|L_i><L_j| - h.c.)`` over i, j in one cluster).
 
     ``span_residual`` is the larger of ``max_n ||v_n - P_n v_n||``, with
     ``v_n`` the unit eigenvectors of ``H^dagger`` and ``P_n`` the orthogonal
@@ -58,12 +56,24 @@ class MetricFamily:
     ``max_n |conj(mu_n) - lambda_n| / ||H||``.
     """
 
-    dim: int
     cluster_sizes: tuple[int, ...]
     spectral: mc.SpectralData
-    kappa_default: np.ndarray
-    degenerate: bool
     span_residual: float
+
+    @property
+    def dim(self) -> int:
+        """Matrix dimension, the number of eigenvalues."""
+        return len(self.spectral.eigenvalues)
+
+    @property
+    def kappa_default(self) -> np.ndarray:
+        """One weight per eigenvalue, all ones (the metric ``L L^dagger``)."""
+        return np.ones(self.dim)
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether some cluster has more than one eigenvalue."""
+        return len(self.cluster_sizes) < self.dim
 
     def to_json(self) -> dict:
         return {
@@ -128,7 +138,6 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
     Hm = mc.as_square_matrix(H, "H")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    dim = Hm.shape[0]
     scale = mc.fro(Hm)
 
     spectral = mc.eig(Hm)
@@ -142,8 +151,7 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
     labels = np.concatenate(([0], np.cumsum(gaps >= tol * max(scale, 1e-300))))
     cluster_sizes = np.bincount(labels)
     Q = spectral.left_vectors / np.linalg.norm(spectral.left_vectors, axis=0)
-    degenerate = len(cluster_sizes) < dim
-    if degenerate:
+    if len(cluster_sizes) < Hm.shape[0]:
         warnings.warn(
             "eigenvalue gap below tolerance; metric family built per eigenvalue cluster",
             DegenerateSpectrumWarning,
@@ -154,16 +162,9 @@ def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
     residual = _eigensolve_disagreement(
         Hm, spectral.eigenvalues, Q, labels[:, None] == labels, scale
     )
-    if residual > SPAN_AGREEMENT_TOL:
+    if not residual <= SPAN_AGREEMENT_TOL:
         raise SpanMismatch(f"eigensolves of H and H^dagger disagree by {residual:.3e}")
-    return MetricFamily(
-        dim=dim,
-        cluster_sizes=tuple(cluster_sizes.tolist()),
-        spectral=spectral,
-        kappa_default=np.ones(dim),
-        degenerate=degenerate,
-        span_residual=residual,
-    )
+    return MetricFamily(tuple(cluster_sizes.tolist()), spectral, residual)
 
 
 def metric_from_weights(family: MetricFamily, kappa) -> np.ndarray:
@@ -191,16 +192,18 @@ def check_quasi_hermitian(L, Theta) -> float:
 
     The package's one evaluation of the intertwining relation (chain rungs
     and PC products included); zero-safe as ``matrixcore.rel_residual``.
-    The caller compares the result against its own tolerance.
+    The caller compares the result against its own tolerance; a product
+    beyond the float range makes it NaN, which fails every gate.
     """
     Lm, Tm = mc.square_pair(L, Theta, "L", "Theta")
-    return mc.rel_residual(Lm.conj().T @ Tm - Tm @ Lm, Lm, Tm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mc.rel_residual(Lm.conj().T @ Tm - Tm @ Lm, Lm, Tm)
 
 
 def require_quasi_hermitian(L, Theta, what: str) -> None:
-    """Raise QuasiHermiticityViolation when the residual exceeds ``QH_GATE``."""
+    """Raise QuasiHermiticityViolation unless the residual is at most ``QH_GATE``."""
     residual = check_quasi_hermitian(L, Theta)
-    if residual > QH_GATE:
+    if not residual <= QH_GATE:
         raise QuasiHermiticityViolation(
             f"{what}: intertwining residual {residual:.3e} exceeds {QH_GATE:.0e}"
         )

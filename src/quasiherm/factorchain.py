@@ -48,8 +48,6 @@ from .errors import (
     WrongN,
 )
 
-#: relative Hermitian-defect gate for operator parameters
-HERM_GATE = 1e-12
 #: relative tolerance for the factor-recomposition invariant
 RECOMPOSE_TOL = 1e-9
 
@@ -156,12 +154,6 @@ class ObservableChain:
         return ObservableChain(N, dim, H, Theta, params, observables, factors)
 
 
-def _require_hermitian(M: np.ndarray, what: str) -> None:
-    defect = mc.hermitian_defect(M)
-    if defect > HERM_GATE * max(1.0, mc.entry_norm(M)):
-        raise NotHermitianParameter(f"{what} has Hermitian defect {defect:.3e}")
-
-
 def lemma1_observable(M, Theta) -> np.ndarray:
     """Eligible observable ``Lambda = M Theta`` for Hermitian M.
 
@@ -170,7 +162,7 @@ def lemma1_observable(M, Theta) -> np.ndarray:
     re-checks after the fact.
     """
     Mm, Tm = mc.square_pair(M, Theta, "M", "Theta")
-    _require_hermitian(Mm, "observable parameter")
+    mc.require_hermitian(Mm, "observable parameter", NotHermitianParameter)
     mc.require_positive_metric(Tm)
     Lam = Mm @ Tm
     require_quasi_hermitian(Lam, Tm, "post-hoc check of M Theta")
@@ -200,7 +192,7 @@ def build_chain(H, Theta, params) -> ObservableChain:
     dim = Hm.shape[0]
     Ms = [mc.square_pair(Hm, M, "H", f"params[{i}]")[1] for i, M in enumerate(params)]
     for i, M in enumerate(Ms):
-        _require_hermitian(M, f"params[{i}]")
+        mc.require_hermitian(M, f"params[{i}]", NotHermitianParameter)
     mc.require_positive_metric(Tm)
     require_quasi_hermitian(Hm, Tm, "H with Theta")
 
@@ -229,7 +221,7 @@ def build_chain(H, Theta, params) -> ObservableChain:
         factors=tuple(factors),
     )
     recompose = mc.rel_residual(chain.factor_product() - Tm, Tm)
-    if recompose > RECOMPOSE_TOL:
+    if not recompose <= RECOMPOSE_TOL:
         raise FactorizationMismatch(
             f"factor product misses the metric by {recompose:.3e}"
         )
@@ -342,6 +334,6 @@ def n3_named_operators(chain: ObservableChain) -> tuple[np.ndarray, np.ndarray]:
     R = mc.inverse(Y3) @ chain.Theta
     for got, want, what in ((Q, Z2, "Q"), (R, Z1, "R")):
         drift = mc.rel_residual(got - want, want)
-        if drift > RECOMPOSE_TOL:
+        if not drift <= RECOMPOSE_TOL:
             raise FactorizationMismatch(f"{what} misses its factor by {drift:.3e}")
     return Q, R

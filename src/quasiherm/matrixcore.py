@@ -2,8 +2,9 @@
 
 Everything in this package manipulates plain ``numpy.ndarray`` objects of
 dtype complex128.  This module owns the validation helpers (including the
-one operand-pair gate ``square_pair`` and the one admissible-metric gate
-``require_positive_metric``), the biorthogonal eigendecomposition,
+one operand-pair gate ``square_pair``, the one Hermitian gate
+``require_hermitian`` and the one admissible-metric gate
+``is_positive_definite``), the biorthogonal eigendecomposition,
 inversion, the package's one matrix exponential (its Pade routine is
 imported on the first call, so importing this module loads numpy alone),
 the JSON interchange format used by every other module and the CLI, and the
@@ -37,6 +38,10 @@ from .errors import (
 DEFECT_OVERLAP_TOL = 1e-12
 #: reciprocal 1-norm condition number an invertible matrix must exceed
 PIVOT_RTOL = 1e-14
+#: Hermitian defect, relative to the largest entry, above which a matrix is refused
+HERM_RTOL = 1e-12
+#: smallest eigenvalue, relative to the largest entry, an admissible metric must exceed
+PD_RTOL = 1e-12
 
 
 def as_square_matrix(A, name: str = "matrix", ndim: int = 2) -> np.ndarray:
@@ -210,47 +215,46 @@ def _eig_stack(M):
 
 
 def spectrum_imag(eigenvalues, scale):
-    """``(max |Im lambda|, max |Im lambda| / max(scale, 1e-300))`` of computed eigenvalues.
+    """``(max |Im lambda|, max |Im lambda| / scale)`` of computed eigenvalues.
 
     The one spectral-reality measure: with ``scale = fro(H)``, the spectrum
-    counts as real when the ratio is at most the caller's tolerance.  A
-    ``(k, n)`` stack of spectra with k scales gives k values of each.
+    counts as real when the ratio is at most the caller's tolerance.  It
+    divides like ``rel_residual`` (0 for a real spectrum, inf for a zero
+    scale alone); a ``(k, n)`` stack of spectra with k scales gives k of each.
     """
     max_imag = np.abs(np.asarray(eigenvalues).imag).max(axis=-1)
-    return max_imag, max_imag / np.maximum(scale, 1e-300)
+    with np.errstate(divide="ignore"):  # a zero scale under a nonzero part reads inf
+        ratio = max_imag / np.where(max_imag > 0.0, scale, 1.0)
+    return max_imag, ratio
 
 
-def is_positive_definite(A, tol: float) -> tuple[bool, float]:
-    """Test positive definiteness of a Hermitian matrix.
-
-    Returns ``(flag, lambda_min)`` where ``lambda_min`` is the smallest
-    eigenvalue of the Hermitian symmetrization ``(A + A^dagger)/2`` and the
-    flag is true iff it exceeds ``tol``.
-
-    Raises NotHermitian when the Hermitian defect of A itself exceeds ``tol``.
-    """
-    M = as_square_matrix(A)
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+def require_hermitian(M, what: str, error=NotHermitian) -> None:
+    """The one Hermitian gate: raise ``error`` unless the Hermitian defect
+    of M is at most ``HERM_RTOL * entry_norm(M)`` (a NaN defect fails)."""
     defect = hermitian_defect(M)
-    if defect > tol:
-        raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds tol {tol:.1e}")
-    lam_min = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
-    return lam_min > tol, lam_min
+    if not defect <= HERM_RTOL * entry_norm(M):
+        raise error(f"{what} has Hermitian defect {defect:.3e} above "
+                    f"{HERM_RTOL:.0e} times its largest entry")
 
 
-def positive_metric(Theta) -> tuple[bool, float]:
-    """``is_positive_definite`` at the admissible-metric gate.
+def is_positive_definite(Theta) -> tuple[bool, float]:
+    """The admissible-metric gate: ``(flag, lambda_min)``.
 
-    The gate is 1e-12 times ``max(1, entry_norm(Theta))``; every check of a
-    metric's positivity in the package goes through here.
+    Theta must pass ``require_hermitian`` (NotHermitian otherwise).
+    ``lambda_min`` is the smallest eigenvalue of ``(Theta + Theta^dagger)/2``,
+    and the flag is true iff it exceeds ``PD_RTOL * entry_norm(Theta)``.
+    Both gates are relative, so ``c * Theta`` gets Theta's verdict for every
+    c > 0: a metric is fixed only up to a positive factor.
     """
-    return is_positive_definite(Theta, 1e-12 * max(1.0, entry_norm(Theta)))
+    M = as_square_matrix(Theta, "Theta")
+    require_hermitian(M, "metric")
+    lam_min = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
+    return lam_min > PD_RTOL * entry_norm(M), lam_min
 
 
 def require_positive_metric(Theta) -> None:
-    """Raise NotPositiveDefinite when ``positive_metric`` refuses Theta."""
-    positive, lam_min = positive_metric(Theta)
+    """Raise NotPositiveDefinite when ``is_positive_definite`` refuses Theta."""
+    positive, lam_min = is_positive_definite(Theta)
     if not positive:
         raise NotPositiveDefinite(f"metric has smallest eigenvalue {lam_min:.3e}")
 

@@ -257,7 +257,7 @@ def _positive_phase(H, tol: float) -> bool:
         theta = metric_from_weights(family, family.kappa_default)
     except (ComplexSpectrum, DefectiveMatrix, SpanMismatch):
         return False
-    positive, _ = mc.positive_metric(theta)
+    positive, _ = mc.is_positive_definite(theta)
     return bool(positive and check_quasi_hermitian(H, theta) <= 1e-8)
 
 

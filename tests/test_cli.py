@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from quasiherm import matrixcore as mc
 from quasiherm.cli import main
 from quasiherm.errors import DegenerateSpectrumWarning
+from quasiherm.evolution import TrajectoryRecord
 from quasiherm.models import parity, pt_chain, random_qh, toy_2x2
 
 
@@ -403,6 +404,15 @@ def test_evolve_csv(toy_file, tmp_path):
     for row, state in zip(rows[1:], trajectory["states"], strict=True):
         assert_same_floats(row[2::2], state["re"])
         assert_same_floats(row[3::2], state["im"])
+
+
+def test_evolve_json_builds_no_csv(tmp_path, monkeypatch):
+    def refuse(record):
+        raise AssertionError("CSV text built for a JSON report")
+
+    monkeypatch.setattr(TrajectoryRecord, "to_csv", refuse)
+    argv = evolve_files(tmp_path, toy_2x2(2.0), [1.0, 1.0]) + ["--samples", "11"]
+    assert run(argv + ["--tol", "1e-8", "--out", str(tmp_path / "out.json")]) == 0
 
 
 def evolve_files(tmp_path, H, psi):

@@ -129,6 +129,13 @@ def test_build_chain_rejects_nonhermitian_parameter():
         build_chain(TOY_H, TOY_THETA, [M])
 
 
+def test_build_chain_refuses_a_nan_residual():
+    # residual 0.91 at scale 1; here L^dagger Theta overflows and it reads NaN
+    L = np.array([[1.0, 5.0], [0.0, 2.0]])
+    with pytest.raises(QuasiHermiticityViolation, match="residual nan"):
+        build_chain(1e160 * L, 1e160 * np.eye(2), [])
+
+
 def test_build_chain_rejects_bad_metric():
     with pytest.raises(QuasiHermiticityViolation):
         build_chain(TOY_H, np.eye(2), [TOY_P])

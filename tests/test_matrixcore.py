@@ -15,7 +15,7 @@ from quasiherm.errors import (
     NotHermitian,
     SingularMatrix,
 )
-from quasiherm.models import pt_chain, random_qh, toy_2x2
+from quasiherm.models import pt_chain, random_qh, spectral_reality, toy_2x2
 
 RNG_SEEDS = range(12)
 
@@ -317,40 +317,39 @@ def test_eig_condition_estimate_is_one_for_hermitian_input(seed, d):
 # ---------------------------------------------------------------------------
 
 def test_pd_identity():
-    flag, lam = mc.is_positive_definite(np.eye(4), 1e-12)
+    flag, lam = mc.is_positive_definite(np.eye(4))
     assert flag and lam == pytest.approx(1.0, abs=1e-14)
 
 
 def test_pd_toy_metric():
-    flag, lam = mc.is_positive_definite(np.diag([4.0, 1.0]), 1e-12)
+    flag, lam = mc.is_positive_definite(np.diag([4.0, 1.0]))
     assert flag and lam == pytest.approx(1.0, abs=1e-14)
 
 
 def test_pd_indefinite():
-    flag, lam = mc.is_positive_definite(np.diag([1.0, -1.0]), 1e-12)
+    flag, lam = mc.is_positive_definite(np.diag([1.0, -1.0]))
     assert not flag and lam == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_pd_requires_hermitian():
     with pytest.raises(NotHermitian, match="defect 1.000e[+]00 "):
-        mc.is_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-12)
+        mc.is_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_spectrum_imag_is_relative_to_the_scale_floor():
+def test_spectrum_imag_divides_like_rel_residual():
     assert mc.spectrum_imag(np.array([1.0, 2.0 + 0.5j, 3.0 - 1.5j]), 3.0) == (1.5, 0.5)
-    assert mc.spectrum_imag(np.array([0.0, 1e-310j]), 0.0) == (1e-310, 1e-310 / 1e-300)
+    assert mc.spectrum_imag(np.array([0.0, 1e-310j]), 0.0) == (1e-310, np.inf)
+    assert mc.spectrum_imag(np.array([0.0, 1e-310j]), 2e-310) == (1e-310, 0.5)
     assert mc.spectrum_imag(np.array([2.0, 5.0]), 7.0) == (0.0, 0.0)
+    assert mc.spectrum_imag(np.zeros(2), 0.0) == (0.0, 0.0)
+    spectra = np.array([[1j, 1.0], [0.0, 0.0], [2j, 0.0]])
+    _, ratios = mc.spectrum_imag(spectra, np.array([0.0, 0.0, 4.0]))
+    np.testing.assert_array_equal(ratios, [np.inf, 0.0, 0.5])
 
 
-def test_pd_rejects_nonpositive_tol():
-    with pytest.raises(ValueError):
-        mc.is_positive_definite(np.eye(2), 0.0)
-
-
-@pytest.mark.parametrize("tol", [np.nan, np.inf])
-def test_pd_rejects_nonfinite_tol(tol):
-    with pytest.raises(ValueError, match="finite"):
-        mc.is_positive_definite(np.eye(2), tol)
+def test_subnormal_complex_spectrum_is_not_real():
+    H = 1e-310 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert spectral_reality(H, 1e-9) == (False, 1e-310)
 
 
 # ---------------------------------------------------------------------------
