@@ -24,16 +24,8 @@ import time
 import numpy as np
 
 from . import matrixcore as mc
-from .dieudonne import check_quasi_hermitian, metric_from_weights, solve_metric_space
-from .errors import (
-    BadDimension,
-    BadRange,
-    DimensionMismatch,
-    InputFormatError,
-    QuasihermError,
-    ZeroParameter,
-    ZeroState,
-)
+from .dieudonne import SOLVE_TOL, check_quasi_hermitian, metric_from_weights, solve_metric_space
+from .errors import InputError, InputFormatError, QuasihermError
 from .evolution import norm_trajectory
 from .factorchain import ObservableChain, build_chain, verify_chain, verify_theorem1
 from .models import (
@@ -84,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(format="json")  # for the commands that have no CSV form
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_input=True, csv=False):
+    def common(p, run, *, needs_input=True, csv=False):
+        p.set_defaults(run=run)  # main calls run(args): (exit code, body, CSV builder or None)
         if needs_input:
             p.add_argument("--input", required=True, help="matrix JSON file")
         p.add_argument("--tol", type=_finite, default=1e-9, help="pass tolerance")
@@ -95,35 +88,35 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p = sub.add_parser("analyze", help="eigenvalues and spectral reality")
-    common(p, csv=True)
+    common(p, _cmd_analyze, csv=True)
 
     p = sub.add_parser("metric", help="metric solution family and default metric")
-    common(p)
+    common(p, _cmd_metric)
 
     p = sub.add_parser("chain", help="build and verify an observable chain")
-    common(p)
+    common(p, _cmd_chain)
     p.add_argument("--params", default=None, help="JSON array of parameter matrices")
     p.add_argument("--n-factors", type=int, default=2, help="metric factor count N")
     p.add_argument("--seed", type=int, default=0, help="seed for random parameters")
 
     p = sub.add_parser("verify", help="re-verify a serialized chain")
-    common(p)
+    common(p, _cmd_verify)
 
     p = sub.add_parser("evolve", help="propagate the dual pair and certify the norm")
-    common(p, csv=True)
+    common(p, _cmd_evolve, csv=True)
     p.add_argument("--state", required=True, help="initial state vector JSON file")
     p.add_argument("--t-max", type=_finite, default=10.0, help="final time")
     p.add_argument("--samples", type=int, default=101, help="number of time samples")
 
     p = sub.add_parser("sweep", help="reality/positivity sweep of the lattice family")
-    common(p, needs_input=False, csv=True)
+    common(p, _cmd_sweep, needs_input=False, csv=True)
     p.add_argument("--dim", type=int, default=2, help="lattice size of the family")
     p.add_argument("--range-lo", type=_finite, required=True, help="sweep start")
     p.add_argument("--range-hi", type=_finite, required=True, help="sweep end")
     p.add_argument("--samples", type=int, default=21, help="grid points")
 
     p = sub.add_parser("suite", help="seeded random-ensemble property run")
-    common(p, needs_input=False)
+    common(p, _cmd_suite, needs_input=False)
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--samples", type=int, default=20, help="number of systems")
     p.add_argument("--n-factors", type=int, default=3, help="largest chain depth")
@@ -142,7 +135,7 @@ def _emit(args, report: dict, to_csv) -> None:
 
 
 def _default_metric(H, tol: float):
-    family = solve_metric_space(H, tol=min(tol, 1e-10))
+    family = solve_metric_space(H, tol=min(tol, SOLVE_TOL))
     theta = metric_from_weights(family, family.kappa_default)
     return family, theta
 
@@ -258,7 +251,7 @@ def _cmd_suite(args):
         dim = dims[i % len(dims)]
         depth = 1 + i % args.n_factors
         H, _ = random_qh(dim, seed)
-        family = solve_metric_space(H, tol=1e-10)
+        family = solve_metric_space(H)
         rng = DeterministicRng(seed + _DRAW_SEED_OFFSET)
         kappa = [0.5 + 1.5 * rng.uniform() for _ in range(dim)]
         theta = metric_from_weights(family, kappa)
@@ -285,29 +278,15 @@ def _cmd_suite(args):
     return (0 if ok else 1), body, None
 
 
-#: each command returns (exit code, report body, CSV builder or None); ``main`` emits them
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "metric": _cmd_metric,
-    "chain": _cmd_chain,
-    "verify": _cmd_verify,
-    "evolve": _cmd_evolve,
-    "sweep": _cmd_sweep,
-    "suite": _cmd_suite,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     started = time.perf_counter()
     try:
         if args.tol <= 0:
             raise InputFormatError("--tol must be positive")
-        code, body, to_csv = _DISPATCH[args.command](args)
+        code, body, to_csv = args.run(args)
         _emit(args, {"command": args.command, "tol": args.tol, **body}, to_csv)
-    except (
-        InputFormatError, BadRange, BadDimension, DimensionMismatch, ZeroParameter, ZeroState
-    ) as exc:
+    except InputError as exc:
         print(f"quasiherm: input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -38,6 +38,8 @@ from .errors import (
 SPAN_AGREEMENT_TOL = 1e-8
 #: intertwining residual above which an (operator, metric) pair is refused
 QH_GATE = 1e-10
+#: default relative threshold of the metric solve's reality and clustering tests
+SOLVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def _eigensolve_disagreement(
     return max(vectors, drift / scale if drift else 0.0)
 
 
-def solve_metric_space(H, tol: float = 1e-10) -> MetricFamily:
+def solve_metric_space(H, tol: float = SOLVE_TOL) -> MetricFamily:
     """Compute the Hermitian solution family of ``H^dagger X = X H``.
 
     Parameters

@@ -5,7 +5,11 @@ class QuasihermError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionMismatch(QuasihermError):
+class InputError(QuasihermError):
+    """The input itself is malformed or out of range (the CLI's exit 2)."""
+
+
+class DimensionMismatch(InputError):
     """Operands do not share a compatible dimension."""
 
 
@@ -61,23 +65,23 @@ class WrongN(QuasihermError):
     """Operation is only defined for a specific chain depth."""
 
 
-class ZeroState(QuasihermError):
+class ZeroState(InputError):
     """A nonzero state vector is required."""
 
 
-class ZeroParameter(QuasihermError):
+class ZeroParameter(InputError):
     """A nonzero model parameter is required."""
 
 
-class BadDimension(QuasihermError):
+class BadDimension(InputError):
     """Model dimension out of range."""
 
 
-class BadRange(QuasihermError):
+class BadRange(InputError):
     """Invalid parameter interval or sample grid."""
 
 
-class InputFormatError(QuasihermError):
+class InputFormatError(InputError):
     """A serialized matrix, vector, chain or config failed to parse."""
 
 

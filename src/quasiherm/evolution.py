@@ -72,13 +72,12 @@ def propagate(H, psi0, t: float) -> np.ndarray:
 def propagate_dual(H, Theta, psi0, t: float) -> np.ndarray:
     """Dual state ``exp(-i H^dagger t) Theta psi0``.
 
-    Requires the intertwining relation to hold (residual at most 1e-10);
+    Requires the intertwining relation to hold (residual at most ``QH_GATE``);
     the result then equals ``Theta @ propagate(H, psi0, t)``.
     """
     Hm, Tm = mc.square_pair(H, Theta, "H", "Theta")
     require_quasi_hermitian(Hm, Tm, "dual propagation")
-    psi = mc.as_vector(psi0, Hm.shape[0], "psi0")
-    return mc.mat_exp(-1j * float(t) * Hm.conj().T) @ (Tm @ psi)
+    return propagate(Hm.conj().T, Tm @ mc.as_vector(psi0, Hm.shape[0], "psi0"), t)
 
 
 def norm_trajectory(H, Theta, psi0, times, check: bool = True) -> TrajectoryRecord:

@@ -18,7 +18,8 @@ form
 construction from the parameter inverses the ladder already needs.  The
 parameters then coincide with the suffix products M_k = Z_N ... Z_{k+1},
 which is what makes every ladder relation an identity for Hermitian
-parameters.
+parameters, and the observables with the prefix products
+Lambda_k = Z_k ... Z_1.
 
 ``verify_chain`` and ``verify_theorem1`` recompute everything from the
 factors alone, so they act as independent checks rather than restating the
@@ -33,7 +34,8 @@ Z_4 = M_3, Z_4 Z_3 = M_2, Z_4 Z_3 Z_2 = M_1, Z_4 Z_3 Z_2 Z_1 = Theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,12 +72,11 @@ class VerificationReport:
 
     relations: tuple[Relation, ...]
     tol: float
-    overall_pass: bool = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "overall_pass", all(r.passed for r in self.relations)
-        )
+    @property
+    def overall_pass(self) -> bool:
+        """Whether every relation passed."""
+        return all(r.passed for r in self.relations)
 
     def residual(self, name: str) -> float:
         for r in self.relations:
@@ -107,22 +108,23 @@ class ObservableChain:
     observables: tuple[np.ndarray, ...]
     factors: tuple[np.ndarray, ...]
 
-    def factor_product(self) -> np.ndarray:
-        """Recompose Z_N Z_{N-1} ... Z_1."""
-        return self.suffix_products()[0]
-
     def suffix_products(self) -> list[np.ndarray]:
         """Suffix products S_k = Z_N ... Z_{k+1} for k = 0 ... N-1.
 
         S_0 is the full recomposed metric and S_{N-1} = Z_N; for a valid
         chain S_k coincides with the parameter M_k (with M_0 = Theta).
         """
-        out = [np.eye(self.dim, dtype=complex)]
-        for Z in reversed(self.factors):
-            out.append(out[-1] @ Z)
-        out = out[1:]          # drop the empty product
-        out.reverse()          # S_0 first
-        return out
+        ident = np.eye(self.dim, dtype=complex)
+        return list(accumulate(reversed(self.factors), np.matmul, initial=ident))[:0:-1]
+
+    def prefix_products(self) -> list[np.ndarray]:
+        """Prefix products P_k = Z_k ... Z_1 for k = 1 ... N, P_k at index k - 1.
+
+        P_N is the full recomposed metric; for a valid chain P_k coincides
+        with the observable Lambda_k.
+        """
+        ident = np.eye(self.dim, dtype=complex)
+        return list(accumulate(self.factors, lambda P, Z: Z @ P, initial=ident))[1:]
 
     def to_json(self) -> dict:
         return {
@@ -176,7 +178,7 @@ def build_chain(H, Theta, params) -> ObservableChain:
     ----------
     H : array_like
         Hamiltonian, quasi-Hermitian with respect to ``Theta`` (gated at
-        residual 1e-10).
+        residual ``dieudonne.QH_GATE``).
     Theta : array_like
         Hermitian positive-definite metric.
     params : sequence of array_like
@@ -220,7 +222,7 @@ def build_chain(H, Theta, params) -> ObservableChain:
         observables=tuple(observables),
         factors=tuple(factors),
     )
-    recompose = mc.rel_residual(chain.factor_product() - Tm, Tm)
+    recompose = mc.rel_residual(chain.suffix_products()[0] - Tm, Tm)
     if not recompose <= RECOMPOSE_TOL:
         raise FactorizationMismatch(
             f"factor product misses the metric by {recompose:.3e}"
@@ -246,7 +248,7 @@ def _ladder_label(k: int, N: int) -> str:
         return "deble4b"
     if k == N - 2:
         return "deble3"
-    return f"deble-mid-k{k}"          # unnamed middle rungs, N >= 7 only
+    return f"deble-mid-k{k}"          # unnamed middle rungs, N >= 6 only
 
 
 def _hamiltonian_label(N: int) -> str:
@@ -295,25 +297,14 @@ def verify_theorem1(chain: ObservableChain, tol: float) -> VerificationReport:
     (with M_k the suffix products, M_0 the recomposed metric) are included
     for k = 0 ... N-1.
     """
-    N = chain.N
     Theta = chain.Theta
-    suffixes = chain.suffix_products()
     relations = []
+    for k, (Lam, P) in enumerate(zip(chain.observables[1:], chain.prefix_products()), 1):
+        relations.append(_rel(f"qh[Lambda_{k}]", check_quasi_hermitian(Lam, Theta), tol))
+        relations.append(_rel(f"product[Lambda_{k}]", mc.rel_residual(Lam - P, Lam), tol))
 
-    running = np.eye(chain.dim, dtype=complex)
-    for k in range(1, N + 1):
-        running = chain.factors[k - 1] @ running     # Z_k ... Z_1
-        Lam = chain.observables[k]
-        relations.append(
-            _rel(f"qh[Lambda_{k}]", check_quasi_hermitian(Lam, Theta), tol)
-        )
-        relations.append(
-            _rel(f"product[Lambda_{k}]", mc.rel_residual(Lam - running, Lam), tol)
-        )
-
-    for k in range(N):
-        Lam = chain.observables[k]
-        residual = mc.rel_residual(Lam.conj().T @ suffixes[k] - Theta, Theta)
+    for k, (Lam, S) in enumerate(zip(chain.observables, chain.suffix_products())):
+        residual = mc.rel_residual(Lam.conj().T @ S - Theta, Theta)
         relations.append(_rel(f"metric-identity[k={k}]", residual, tol))
 
     return VerificationReport(tuple(relations), float(tol))
@@ -322,14 +313,14 @@ def verify_theorem1(chain: ObservableChain, tol: float) -> VerificationReport:
 def n3_named_operators(chain: ObservableChain) -> tuple[np.ndarray, np.ndarray]:
     """Quasiparity Q and renormalized charge R of a depth-3 chain.
 
-    Recomputes Y_3 = Z_3 Z_2 from the factors and returns
+    Takes Y_3 = Z_3 Z_2 from the suffix products of the factors and returns
     Q = Z_3^-1 Y_3 (equal to Z_2, not an observable in general) and
     R = Y_3^-1 Theta (equal to Z_1, always quasi-Hermitian).
     """
     if chain.N != 3:
         raise WrongN(f"defined for N = 3 chains, got N = {chain.N}")
     Z1, Z2, Z3 = chain.factors
-    Y3 = Z3 @ Z2
+    Y3 = chain.suffix_products()[1]
     Q = mc.inverse(Z3) @ Y3
     R = mc.inverse(Y3) @ chain.Theta
     for got, want, what in ((Q, Z2, "Q"), (R, Z1, "R")):

@@ -15,16 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixcore as mc
-from .dieudonne import check_quasi_hermitian, metric_from_weights, solve_metric_space
-from .errors import (
-    BadDimension,
-    BadRange,
-    ComplexSpectrum,
-    DefectiveMatrix,
-    DimensionMismatch,
-    SpanMismatch,
-    ZeroParameter,
-)
+from .dieudonne import QH_GATE, check_quasi_hermitian, metric_from_weights, solve_metric_space
+from .errors import BadDimension, BadRange, DimensionMismatch, SpanMismatch, ZeroParameter
 
 _MASK64 = (1 << 64) - 1
 
@@ -149,6 +141,16 @@ _GAP_FLOOR = 1e-4
 _MAX_DRAWS = 100
 
 
+def _first_accepted(sample, accept, failure: str):
+    """The first of at most ``_MAX_DRAWS`` values of ``sample()`` that
+    ``accept`` takes; BadDimension with message ``failure`` if none is."""
+    for _ in range(_MAX_DRAWS):
+        value = sample()
+        if accept(value):
+            return value
+    raise BadDimension(failure)
+
+
 def random_qh(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded quasi-Hermitian Hamiltonian with a positive metric witness.
 
@@ -164,22 +166,17 @@ def random_qh(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         raise BadDimension("random_qh needs d >= 2")
     d = int(d)
     rng = DeterministicRng(seed)
-    for _ in range(_MAX_DRAWS):
-        h = rng.hermitian_matrix(d)
-        gaps = np.diff(np.sort(np.linalg.eigvalsh(h)))
-        if gaps.min() >= _GAP_FLOOR * mc.fro(h):
-            break
-    else:
-        raise BadDimension(f"random_qh({d}): {_MAX_DRAWS} h draws missed the gap floor")
+    h = _first_accepted(
+        lambda: rng.hermitian_matrix(d),
+        lambda h: np.diff(np.sort(np.linalg.eigvalsh(h))).min() >= _GAP_FLOOR * mc.fro(h),
+        f"random_qh({d}): {_MAX_DRAWS} h draws missed the gap floor",
+    )
     cond_cap = _OMEGA_COND_LIMIT * max(1.0, d / 32) ** 2
-    for _ in range(_MAX_DRAWS):
-        omega = rng.complex_normal_matrix(d)
-        if np.linalg.cond(omega) <= cond_cap:
-            break
-    else:
-        raise BadDimension(
-            f"random_qh({d}): {_MAX_DRAWS} Omega draws had cond > {cond_cap:g}"
-        )
+    omega = _first_accepted(
+        lambda: rng.complex_normal_matrix(d),
+        lambda omega: np.linalg.cond(omega) <= cond_cap,
+        f"random_qh({d}): {_MAX_DRAWS} Omega draws had cond > {cond_cap:g}",
+    )
     return qh_pair(h, omega)
 
 
@@ -251,14 +248,18 @@ def _reality_flags(H, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _positive_phase(H, tol: float) -> bool:
-    """Positivity of the all-ones spectral metric of a real-phase matrix."""
+    """Positivity of the all-ones spectral metric of a real-phase matrix.
+
+    ``_reality_flags`` flagged H real on ``mc.eig``'s own bits, at no more than
+    the solve's tolerance, so the solve can refuse it only by SpanMismatch.
+    """
     try:
         family = solve_metric_space(H, tol=max(tol, 1e-12))
-        theta = metric_from_weights(family, family.kappa_default)
-    except (ComplexSpectrum, DefectiveMatrix, SpanMismatch):
+    except SpanMismatch:
         return False
+    theta = metric_from_weights(family, family.kappa_default)
     positive, _ = mc.is_positive_definite(theta)
-    return bool(positive and check_quasi_hermitian(H, theta) <= 1e-8)
+    return bool(positive and check_quasi_hermitian(H, theta) <= QH_GATE)
 
 
 def _squared_splitting(w, scale: float, centre: float) -> float | None:

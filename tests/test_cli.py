@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasiherm import errors
 from quasiherm import matrixcore as mc
 from quasiherm.cli import main
 from quasiherm.errors import DegenerateSpectrumWarning
@@ -545,6 +546,71 @@ def test_suite_small_run(tmp_path):
     assert report["pass"] is True
     assert len(report["systems"]) == 6
     assert max(report["worst_residuals"].values()) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# typed input errors: each exits 2 through errors.InputError
+# ---------------------------------------------------------------------------
+
+def test_exit_two_errors_are_the_input_errors():
+    inputs = {name for name, cls in vars(errors).items()
+              if isinstance(cls, type) and issubclass(cls, errors.InputError)}
+    assert inputs == {"InputError", "InputFormatError", "BadRange", "BadDimension",
+                      "DimensionMismatch", "ZeroParameter", "ZeroState"}
+
+
+def edited_chain(tmp_path, toy_file, edit):
+    """A ``chain`` report's chain object, changed by ``edit``, as a file."""
+    report = tmp_path / "chain.json"
+    assert run(["chain", "--input", toy_file, "--out", str(report)]) == 0
+    chain = json.loads(report.read_text())["chain"]
+    edit(chain)
+    return write_json(tmp_path / "edited.json", chain)
+
+
+def nan_state(tmp_path):
+    nan = {"dim": 2, "re": [1.0, float("nan")], "im": [0.0, 0.0]}
+    return write_json(tmp_path / "psi.json", nan)
+
+
+def factor_3x3(chain):
+    chain["factors"][0] = mc.matrix_to_json(np.eye(3))
+
+
+#: case -> (argv from the tmp dir and the toy matrix file, phrase of the message)
+INPUT_ERRORS = {
+    "params-object": (
+        lambda tmp, toy: ["chain", "--input", toy, "--params", write_json(tmp / "o.json", {})],
+        "must hold a JSON array",
+    ),
+    "chain-n-factors-0": (
+        lambda tmp, toy: ["chain", "--input", toy, "--n-factors", "0"], "at least 1"
+    ),
+    "suite-samples-0": (lambda tmp, toy: ["suite", "--samples", "0"], "must be positive"),
+    "suite-n-factors-0": (lambda tmp, toy: ["suite", "--n-factors", "0"], "must be positive"),
+    "evolve-nan-state": (
+        lambda tmp, toy: ["evolve", "--input", toy, "--state", nan_state(tmp)], "non-finite"
+    ),
+    "verify-no-factors": (
+        lambda tmp, toy: ["verify", "--input", edited_chain(tmp, toy, lambda c: c.pop("factors"))],
+        "bad chain object",
+    ),
+    "verify-3x3-factor": (
+        lambda tmp, toy: ["verify", "--input", edited_chain(tmp, toy, factor_3x3)],
+        "inconsistent matrix dimensions",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_input_error_exits_two(case, toy_file, tmp_path, capsys):
+    argv, message = INPUT_ERRORS[case]
+    args = argv(tmp_path, toy_file)
+    capsys.readouterr()
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "quasiherm: input error: InputFormatError:" in err
+    assert message in err
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def test_build_chain_rejects_bad_metric():
 def test_factors_recompose_metric(dim, N):
     for seed in range(5):
         chain = random_chain(dim, N, 41 * seed + dim + N)
-        resid = mc.fro(chain.factor_product() - chain.Theta) / mc.fro(chain.Theta)
+        resid = mc.fro(chain.suffix_products()[0] - chain.Theta) / mc.fro(chain.Theta)
         assert resid <= 1e-9
 
 
@@ -219,6 +219,19 @@ def test_verify_general_depth_labels():
         "deble3b",
         "deble1",
     ]
+    # N = 6 is the first depth with an unnamed middle rung
+    report6 = verify_chain(random_chain(3, 6, 14), 1e-9)
+    assert [r.name for r in report6.relations] == [
+        "deblesep",
+        "deble4",
+        "deble4b",
+        "deble-mid-k3",
+        "deble3",
+        "deble3b",
+        "deble1",
+        *(f"herm[Z6..Z{j + 1}]" for j in range(5)),
+    ]
+    assert report6.overall_pass
 
 
 def test_verify_depth_one():
@@ -310,6 +323,11 @@ def test_theorem1_toy_charge_is_observable():
     assert report.overall_pass
 
 
+def test_report_residual_of_an_unknown_relation_is_a_key_error():
+    with pytest.raises(KeyError, match="nope"):
+        verify_theorem1(toy_chain(), 1e-9).residual("nope")
+
+
 def test_theorem1_random_depth_five():
     chain = random_chain(6, 5, 77)
     report = verify_theorem1(chain, 1e-8)
@@ -324,10 +342,8 @@ def test_theorem1_observables_quasi_hermitian_and_real_spectrum(dim, N):
         chain = random_chain(dim, N, 3000 + 7 * seed + dim * N)
         for lam in chain.observables:
             assert check_quasi_hermitian(lam, chain.Theta) <= 1e-8
-            sd = mc.eig(lam)
-            assert np.abs(sd.eigenvalues.imag).max() <= 1e-8 * max(
-                mc.fro(lam), 1e-300
-            )
+            _, ratio = mc.spectrum_imag(mc.eig(lam).eigenvalues, mc.fro(lam))
+            assert ratio <= 1e-8
 
 
 @pytest.mark.parametrize("dim,N", [(3, 3), (5, 4)])

@@ -148,6 +148,20 @@ def test_random_qh_refuses_a_dimension_it_cannot_draw(monkeypatch):
         random_qh(8, 1)
 
 
+def test_random_qh_refuses_when_no_h_draw_clears_the_gap_floor(monkeypatch):
+    # a gap of ten times ||h||_F is out of reach of every Hermitian draw
+    monkeypatch.setattr(models, "_GAP_FLOOR", 10.0)
+    with pytest.raises(BadDimension, match=r"random_qh\(2\): 100 h draws missed the gap floor"):
+        random_qh(2, 0)
+
+
+def test_random_qh_and_qh_pair_refuse_bad_dimensions():
+    with pytest.raises(BadDimension, match="d >= 2"):
+        random_qh(1, 0)
+    with pytest.raises(BadDimension, match="share a dimension"):
+        qh_pair(np.eye(2), np.eye(3))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_random_qh_draws_at_large_dimension(seed):
     H, theta = random_qh(64, seed)
@@ -383,3 +397,32 @@ GRID = set(np.linspace(0.0, 2.0, 5).tolist())
 def test_sweep_refuses_a_family_that_changes_size(family):
     with pytest.raises(DimensionMismatch, match=r"family\(.*\) has shape \(3, 3\)"):
         sweep_exceptional(family, 0.0, 2.0, 5)
+
+
+def sweep_fields(result):
+    return (
+        result.parameter_values.tolist(),
+        result.reality_flags,
+        result.positivity_flags,
+        result.critical_estimate,
+        result.critical_method,
+        result.critical_evaluations,
+    )
+
+
+def test_sweep_in_many_stack_chunks_matches_the_default(monkeypatch):
+    # 600 points are three chunks by default and 86 chunks of 7
+    def sweep():
+        return sweep_fields(sweep_exceptional(lambda g: pt_chain(2, g), 0.0, 2.0, 600))
+
+    default = sweep()
+    monkeypatch.setattr(models, "_STACK", 7)
+    assert sweep() == default
+    assert default[1].count(True) == 300
+
+
+def test_sweep_refuses_a_size_change_in_a_later_stack_chunk(monkeypatch):
+    # the first chunk of 7 points (g <= 6/19) is 2 x 2; g > 0.5 is 3 x 3
+    monkeypatch.setattr(models, "_STACK", 7)
+    with pytest.raises(DimensionMismatch, match=r"has shape \(3, 3\), not \(2, 2\)"):
+        sweep_exceptional(lambda g: pt_chain(2 if g <= 0.5 else 3, g), 0.0, 1.0, 20)
