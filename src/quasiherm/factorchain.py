@@ -21,15 +21,16 @@ which is what makes every ladder relation an identity for Hermitian
 parameters, and the observables with the prefix products
 Lambda_k = Z_k ... Z_1.
 
-``verify_chain`` and ``verify_theorem1`` recompute everything from the
-factors alone, so they act as independent checks rather than restating the
-construction.
+A chain stores each matrix once, the ladder and the factors: H and Theta are
+its last two observables, and M_k is ``suffix_products()[k]``.
+``verify_chain`` and ``verify_theorem1`` recompute every product from the
+factors and read every stored matrix, so they act as independent checks.
 
-Parameter order: ``params[0]`` is the deepest parameter (the one inverted in
-Lambda_1) and ``params[-1]`` equals Z_N.  Worked N = 4 example: with
-``params = (M_1, M_2, M_3)`` the observables are Lambda_1 = M_1^-1 Theta,
-Lambda_2 = M_2^-1 Theta, Lambda_3 = M_3^-1 Theta, and the factors satisfy
-Z_4 = M_3, Z_4 Z_3 = M_2, Z_4 Z_3 Z_2 = M_1, Z_4 Z_3 Z_2 Z_1 = Theta.
+Parameter order: ``build_chain``'s ``params[0]`` is the deepest parameter
+(the one inverted in Lambda_1) and ``params[-1]`` equals Z_N.  Worked N = 4
+example: with ``params = (M_1, M_2, M_3)`` the observables are Lambda_1 =
+M_1^-1 Theta, Lambda_2 = M_2^-1 Theta, Lambda_3 = M_3^-1 Theta, and the
+factors satisfy Z_4 = M_3, Z_4 Z_3 = M_2, Z_4 Z_3 Z_2 = M_1, Z_4 Z_3 Z_2 Z_1 = Theta.
 """
 
 from __future__ import annotations
@@ -96,17 +97,31 @@ class ObservableChain:
     """Factorized metric with its closed-form observable ladder.
 
     ``observables`` runs Lambda_0 ... Lambda_{N+1}; ``factors`` runs
-    Z_1 ... Z_N.  Instances are immutable; verification of distinct chains
-    can proceed concurrently.
+    Z_1 ... Z_N, with ``H`` = Lambda_{N+1} and ``Theta`` = Lambda_N.
+    Instances are immutable; verification of distinct chains can proceed
+    concurrently.
     """
 
     N: int
     dim: int
-    H: np.ndarray
-    Theta: np.ndarray
-    params: tuple[np.ndarray, ...]
     observables: tuple[np.ndarray, ...]
     factors: tuple[np.ndarray, ...]
+
+    @property
+    def H(self) -> np.ndarray:
+        return self.observables[-1]
+
+    @property
+    def Theta(self) -> np.ndarray:
+        return self.observables[-2]
+
+    def _products(self, factors, step) -> list[np.ndarray]:
+        """The identity and its running ``step`` products with ``factors``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = list(accumulate(factors, step, initial=np.eye(self.dim, dtype=complex)))
+        if not np.isfinite(products).all():
+            raise FactorizationMismatch("a product of the chain factors overflows")
+        return products
 
     def suffix_products(self) -> list[np.ndarray]:
         """Suffix products S_k = Z_N ... Z_{k+1} for k = 0 ... N-1.
@@ -114,8 +129,7 @@ class ObservableChain:
         S_0 is the full recomposed metric and S_{N-1} = Z_N; for a valid
         chain S_k coincides with the parameter M_k (with M_0 = Theta).
         """
-        ident = np.eye(self.dim, dtype=complex)
-        return list(accumulate(reversed(self.factors), np.matmul, initial=ident))[:0:-1]
+        return self._products(reversed(self.factors), np.matmul)[:0:-1]
 
     def prefix_products(self) -> list[np.ndarray]:
         """Prefix products P_k = Z_k ... Z_1 for k = 1 ... N, P_k at index k - 1.
@@ -123,37 +137,31 @@ class ObservableChain:
         P_N is the full recomposed metric; for a valid chain P_k coincides
         with the observable Lambda_k.
         """
-        ident = np.eye(self.dim, dtype=complex)
-        return list(accumulate(self.factors, lambda P, Z: Z @ P, initial=ident))[1:]
+        return self._products(self.factors, lambda P, Z: Z @ P)[1:]
 
     def to_json(self) -> dict:
         return {
             "N": self.N,
             "dim": self.dim,
-            "H": mc.matrix_to_json(self.H),
-            "Theta": mc.matrix_to_json(self.Theta),
-            "params": [mc.matrix_to_json(M) for M in self.params],
             "observables": [mc.matrix_to_json(L) for L in self.observables],
             "factors": [mc.matrix_to_json(Z) for Z in self.factors],
         }
 
     @staticmethod
     def from_json(obj) -> "ObservableChain":
+        """Read a chain object; keys other than the four fields are ignored."""
         try:
             N = mc.json_int(obj["N"], "chain N")
             dim = mc.json_int(obj["dim"], "chain dim")
-            H = mc.matrix_from_json(obj["H"])
-            Theta = mc.matrix_from_json(obj["Theta"])
-            params = tuple(mc.matrix_from_json(m) for m in obj["params"])
             observables = tuple(mc.matrix_from_json(m) for m in obj["observables"])
             factors = tuple(mc.matrix_from_json(m) for m in obj["factors"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"bad chain object: {exc}") from exc
-        if len(observables) != N + 2 or len(factors) != N or len(params) != N - 1:
+        if N < 1 or len(observables) != N + 2 or len(factors) != N:
             raise InputFormatError("chain object has inconsistent sequence lengths")
-        if any(M.shape != (dim, dim) for M in (H, Theta) + params + observables + factors):
+        if any(M.shape != (dim, dim) for M in observables + factors):
             raise InputFormatError("chain object has inconsistent matrix dimensions")
-        return ObservableChain(N, dim, H, Theta, params, observables, factors)
+        return ObservableChain(N, dim, observables, factors)
 
 
 def lemma1_observable(M, Theta) -> np.ndarray:
@@ -213,15 +221,7 @@ def build_chain(H, Theta, params) -> ObservableChain:
         *Ms[-1:],
     ]
 
-    chain = ObservableChain(
-        N=N,
-        dim=dim,
-        H=Hm,
-        Theta=Tm,
-        params=tuple(Ms),
-        observables=tuple(observables),
-        factors=tuple(factors),
-    )
+    chain = ObservableChain(N, dim, tuple(observables), tuple(factors))
     recompose = mc.rel_residual(chain.suffix_products()[0] - Tm, Tm)
     if not recompose <= RECOMPOSE_TOL:
         raise FactorizationMismatch(

@@ -140,10 +140,7 @@ def test_criterion_2_ladder_suite(chain_ensemble):
             factors[index] = factors[index] + 0.1 * mc.fro(factors[index]) / mc.fro(
                 bump
             ) * bump
-            corrupted = ObservableChain(
-                chain.N, chain.dim, chain.H, chain.Theta, chain.params,
-                chain.observables, tuple(factors),
-            )
+            corrupted = ObservableChain(chain.N, chain.dim, chain.observables, tuple(factors))
             got = set(verify_chain(corrupted, 1e-9).failed())
             assert got == expected, (got, expected)
             corrupt_checks += 1

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from quasiherm import matrixcore as mc
 from quasiherm.cli import main
 from quasiherm.errors import DegenerateSpectrumWarning
 from quasiherm.evolution import TrajectoryRecord
-from quasiherm.models import parity, pt_chain, random_qh, toy_2x2
+from quasiherm.factorchain import ObservableChain, build_chain
+from quasiherm.models import parity, pt_chain, random_qh, toy_2x2, toy_2x2_metric
 
 
 @pytest.fixture
@@ -151,7 +155,7 @@ def test_chain_toy_with_parity_parameter(toy_file, parity_params_file, tmp_path)
     assert names[:3] == ["able3", "able2", "able1"]
     assert all(r["residual"] <= 1e-9 for r in report["ladder"]["relations"])
     # the emitted charge is parity^-1 times the emitted metric
-    theta = mc.matrix_from_json(report["chain"]["Theta"])
+    theta = mc.matrix_from_json(report["chain"]["observables"][-2])
     charge = mc.matrix_from_json(report["chain"]["observables"][1])
     np.testing.assert_allclose(charge, mc.inverse(parity(2)) @ theta, atol=1e-13)
 
@@ -229,6 +233,43 @@ def test_verify_zero_factor_fails_its_relations(toy_file, tmp_path):
     report = json.loads(verify_out.read_text())
     failed = [r["relation"] for r in report["theorem1"]["relations"] if not r["pass"]]
     assert {"product[Lambda_1]", "metric-identity[k=0]"} <= set(failed)
+
+
+def test_verify_ignores_the_keys_of_older_chain_files(toy_file, tmp_path, capsys):
+    report = tmp_path / "chain.json"
+    assert run(["chain", "--input", toy_file, "--n-factors", "3", "--out", str(report)]) == 0
+    chain_obj = json.loads(report.read_text())["chain"]
+    current = write_json(tmp_path / "current.json", chain_obj)
+    chain = ObservableChain.from_json(chain_obj)
+    params = chain.suffix_products()[1:]
+    params[0] = 7 * params[0]
+    older = write_json(tmp_path / "older.json", {
+        **chain_obj, "H": chain_obj["observables"][-1], "Theta": chain_obj["observables"][-2],
+        "params": [mc.matrix_to_json(M) for M in params],
+    })
+    capsys.readouterr()
+    assert run(["verify", "--input", current]) == 0
+    expected = capsys.readouterr().out
+    assert run(["verify", "--input", older]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_verify_of_overflowing_factor_products_exits_one(tmp_path):
+    chain = build_chain(toy_2x2(2.0), toy_2x2_metric(2.0), [parity(2)]).to_json()
+    for matrix in chain["observables"] + chain["factors"]:
+        matrix["re"] = [1e200 * x for x in matrix["re"]]
+        matrix["im"] = [1e200 * x for x in matrix["im"]]
+    path = write_json(tmp_path / "huge.json", chain)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasiherm.cli", "verify", "--input", path],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "quasiherm: FactorizationMismatch: a product of the chain factors overflows" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -595,6 +636,12 @@ INPUT_ERRORS = {
         lambda tmp, toy: ["verify", "--input", edited_chain(tmp, toy, lambda c: c.pop("factors"))],
         "bad chain object",
     ),
+    "verify-n-zero": (
+        lambda tmp, toy: ["verify", "--input", edited_chain(
+            tmp, toy, lambda c: c.update(N=0, observables=c["observables"][:2], factors=[])
+        )],
+        "inconsistent sequence lengths",
+    ),
     "verify-3x3-factor": (
         lambda tmp, toy: ["verify", "--input", edited_chain(tmp, toy, factor_3x3)],
         "inconsistent matrix dimensions",
@@ -706,9 +753,11 @@ def test_exit_codes_property(seed, dim, N, malformation, command):
         assert main(argv + ["--out", chain]) == 0
         assert main(["verify", "--input", chain] + quiet) == 0
 
+        # each of the 2N + 2 stored matrices feeds some relation
         report = mc.read_json(chain, "chain")
-        factor = report["chain"]["factors"][seed % N]
-        factor["re"][0] += 0.1 * max(map(abs, factor["re"] + factor["im"]))
+        stored = report["chain"]["observables"] + report["chain"]["factors"]
+        matrix = stored[seed % len(stored)]
+        matrix["re"][0] += 0.1 * max(map(abs, matrix["re"] + matrix["im"]))
         write_json(chain, report)
         assert main(["verify", "--input", chain] + quiet) == 1
 

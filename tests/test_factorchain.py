@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -165,7 +166,7 @@ def test_closed_form_factors_match_ladder_quotients(dim, N):
 def test_depth_two_reduction_matches_charge_formula():
     for seed in range(5):
         chain = random_chain(3, 2, 900 + seed)
-        P = chain.params[0]
+        P = chain.suffix_products()[1]
         np.testing.assert_allclose(
             chain.observables[1], mc.inverse(P) @ chain.Theta, atol=1e-12
         )
@@ -291,22 +292,43 @@ def test_corruption_flips_exactly_the_expected_relations(dim, N, corrupt_index):
     factors[corrupt_index] = factors[corrupt_index] + 0.1 * mc.fro(
         factors[corrupt_index]
     ) / mc.fro(bump) * bump
-    corrupted = ObservableChain(
-        chain.N, chain.dim, chain.H, chain.Theta, chain.params,
-        chain.observables, tuple(factors),
-    )
+    corrupted = ObservableChain(chain.N, chain.dim, chain.observables, tuple(factors))
     report = verify_chain(corrupted, 1e-9)
     assert set(report.failed()) == _predicted_failures(chain, corrupt_index)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_every_stored_matrix_feeds_a_relation(N):
+    chain = random_chain(4, N, 2200 + N)
+    stored = chain.observables + chain.factors
+    assert len(stored) == 2 * N + 2
+    rng = np.random.default_rng(N)
+    for index, M in enumerate(stored):
+        bump = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        changed = list(stored)
+        changed[index] = M + 0.1 * mc.fro(M) / mc.fro(bump) * bump
+        corrupted = ObservableChain(N, 4, tuple(changed[: N + 2]), tuple(changed[N + 2:]))
+        failed = verify_chain(corrupted, 1e-9).failed() + verify_theorem1(corrupted, 1e-9).failed()
+        assert failed, f"stored matrix {index} is read by no relation"
+
+
+def test_overflowing_factor_products_are_a_factorization_mismatch():
+    chain = toy_chain()
+    huge = ObservableChain(
+        chain.N, chain.dim,
+        tuple(1e200 * L for L in chain.observables), tuple(1e200 * Z for Z in chain.factors),
+    )
+    assert all(np.isfinite(M).all() for M in huge.observables + huge.factors)
+    for verify in (verify_chain, verify_theorem1):
+        with pytest.raises(FactorizationMismatch, match="a product of the chain factors overflows"):
+            verify(huge, 1e-9)
 
 
 def test_nonhermitian_last_factor_fails_hermiticity_relation():
     chain = toy_chain()
     factors = list(chain.factors)
     factors[1] = factors[1] + np.array([[0.0, 0.2j], [0.2j, 0.0]])
-    corrupted = ObservableChain(
-        chain.N, chain.dim, chain.H, chain.Theta, chain.params,
-        chain.observables, tuple(factors),
-    )
+    corrupted = ObservableChain(chain.N, chain.dim, chain.observables, tuple(factors))
     report = verify_chain(corrupted, 1e-9)
     assert "able1" in report.failed()
     assert not report.overall_pass
@@ -397,10 +419,12 @@ def test_n3_rejects_other_depths():
 
 def test_chain_json_roundtrip_is_bit_exact():
     chain = random_chain(4, 3, 515)
+    assert [f.name for f in dataclasses.fields(chain)] == ["N", "dim", "observables", "factors"]
+    assert list(chain.to_json()) == ["N", "dim", "observables", "factors"]
     back = ObservableChain.from_json(json.loads(json.dumps(chain.to_json())))
-    assert np.array_equal(back.H, chain.H)
-    assert np.array_equal(back.Theta, chain.Theta)
-    for a, b in zip(back.factors, chain.factors):
+    assert (back.N, back.dim) == (chain.N, chain.dim)
+    assert (len(back.observables), len(back.factors)) == (chain.N + 2, chain.N)
+    for a, b in zip(back.observables + back.factors, chain.observables + chain.factors):
         assert np.array_equal(a, b)
     before = verify_chain(chain, 1e-9)
     after = verify_chain(back, 1e-9)
