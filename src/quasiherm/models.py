@@ -21,6 +21,13 @@ from .errors import BadDimension, BadRange, DimensionMismatch, SpanMismatch, Zer
 _MASK64 = (1 << 64) - 1
 
 
+def _whole(n, least: int, error: type, message: str) -> int:
+    """``int(n)`` for a finite whole number ``n >= least``; else ``error(message)``."""
+    if not (np.isfinite(n) and n >= least and int(n) == n):
+        raise error(message)
+    return int(n)
+
+
 class DeterministicRng:
     """Tiny self-contained random source with a frozen algorithm.
 
@@ -101,9 +108,7 @@ def pt_chain(d: int, gamma: float) -> np.ndarray:
     -i*gamma).  The matrix commutes with (anti-diagonal parity) x (complex
     conjugation) identically, for every d and gamma.
     """
-    if int(d) != d or d < 2:
-        raise BadDimension("chain needs d >= 2 sites")
-    d = int(d)
+    d = _whole(d, 2, BadDimension, "chain needs d >= 2 sites")
     H = np.zeros((d, d), dtype=complex)
     idx = np.arange(d - 1)
     H[idx, idx + 1] = 1.0
@@ -115,9 +120,8 @@ def pt_chain(d: int, gamma: float) -> np.ndarray:
 
 def parity(d: int) -> np.ndarray:
     """Anti-diagonal matrix of ones: Hermitian and involutive (P^2 = I)."""
-    if int(d) != d or d < 2:
-        raise BadDimension("parity needs d >= 2")
-    return np.fliplr(np.eye(int(d))).astype(complex)
+    d = _whole(d, 2, BadDimension, "parity needs d >= 2")
+    return np.fliplr(np.eye(d)).astype(complex)
 
 
 def qh_pair(h, omega) -> tuple[np.ndarray, np.ndarray]:
@@ -162,9 +166,7 @@ def random_qh(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     Raises BadDimension when either draw is rejected ``_MAX_DRAWS`` times in
     a row.
     """
-    if int(d) != d or d < 2:
-        raise BadDimension("random_qh needs d >= 2")
-    d = int(d)
+    d = _whole(d, 2, BadDimension, "random_qh needs d >= 2")
     rng = DeterministicRng(seed)
     h = _first_accepted(
         lambda: rng.hermitian_matrix(d),
@@ -395,9 +397,7 @@ def sweep_exceptional(
     """
     if not (lo < hi and np.isfinite(float(hi) - float(lo))):
         raise BadRange(f"need lo < hi a finite distance apart, got [{lo}, {hi}]")
-    if int(samples) != samples or samples < 2:
-        raise BadRange("need at least 2 samples")
-    grid = np.linspace(lo, hi, int(samples))
+    grid = np.linspace(lo, hi, _whole(samples, 2, BadRange, "need at least 2 samples"))
     shape = None
 
     def member(x: float) -> np.ndarray:

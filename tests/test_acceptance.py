@@ -195,12 +195,13 @@ def test_criterion_5_unitarity(evolution_triples):
     # control: the naive identity metric on a genuinely non-Hermitian H
     H, _, psi0 = evolution_triples[0]
     assert mc.hermitian_defect(H) > 1e-2 * mc.entry_norm(H)
-    control = norm_trajectory(H, np.eye(H.shape[0]), psi0, times, check=False)
+    norms = np.array([np.linalg.norm(propagate(H, psi0, t)) ** 2 for t in times])
+    control_drift = np.abs(norms - norms[0]).max() / norms[0]
     _verdict(
         5,
-        worst_drift <= 1e-8 and control.drift >= 1e-2,
+        worst_drift <= 1e-8 and control_drift >= 1e-2,
         f"worst drift {worst_drift:.2e} on 20 triples, "
-        f"control drift {control.drift:.2e}",
+        f"control drift {control_drift:.2e}",
     )
 
 

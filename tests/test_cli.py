@@ -254,22 +254,37 @@ def test_verify_ignores_the_keys_of_older_chain_files(toy_file, tmp_path, capsys
     assert capsys.readouterr().out == expected
 
 
-def test_verify_of_overflowing_factor_products_exits_one(tmp_path):
+def verify_scaled_toy_chain(tmp_path, scale):
+    """``verify`` in a fresh interpreter (default warning filters) on the toy
+    chain with every stored entry times ``scale``."""
     chain = build_chain(toy_2x2(2.0), toy_2x2_metric(2.0), [parity(2)]).to_json()
     for matrix in chain["observables"] + chain["factors"]:
-        matrix["re"] = [1e200 * x for x in matrix["re"]]
-        matrix["im"] = [1e200 * x for x in matrix["im"]]
+        matrix["re"] = [scale * x for x in matrix["re"]]
+        matrix["im"] = [scale * x for x in matrix["im"]]
     path = write_json(tmp_path / "huge.json", chain)
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "quasiherm.cli", "verify", "--input", path],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_verify_of_overflowing_factor_products_exits_one(tmp_path):
+    proc = verify_scaled_toy_chain(tmp_path, 1e200)
     assert proc.returncode == 1, proc.stderr
     assert "quasiherm: FactorizationMismatch: a product of the chain factors overflows" in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+def test_verify_of_an_overflowing_metric_identity_exits_one_quietly(tmp_path):
+    # the factor products stay finite; Lambda_0^dagger times the longest one does not
+    proc = verify_scaled_toy_chain(tmp_path, 1e150)
+    assert proc.returncode == 1, proc.stderr
+    assert "Warning" not in proc.stderr
+    relations = json.loads(proc.stdout)["theorem1"]["relations"]
+    assert not any(r["pass"] for r in relations if r["relation"].startswith("metric-identity"))
 
 
 @pytest.mark.parametrize(

@@ -135,11 +135,11 @@ def test_trajectory_toy_model_conserves_weighted_norm():
 
 
 def test_trajectory_wrong_metric_drifts():
-    # the identity metric on the genuinely non-Hermitian toy model
-    record = norm_trajectory(
-        TOY_H, np.eye(2), [1.0, 0.0], np.linspace(0.0, 10.0, 101), check=False
-    )
-    assert record.drift >= 1e-2
+    # the identity metric on the genuinely non-Hermitian toy model: the plain norm drifts
+    norms = np.array([
+        np.linalg.norm(propagate(TOY_H, [1.0, 0.0], t)) ** 2 for t in np.linspace(0.0, 10.0, 101)
+    ])
+    assert np.abs(norms - norms[0]).max() / norms[0] >= 1e-2
 
 
 def test_trajectory_gates_and_validation():
@@ -147,8 +147,9 @@ def test_trajectory_gates_and_validation():
         norm_trajectory(TOY_H, np.eye(2), [1.0, 0.0], [0.0, 1.0])
     with pytest.raises(NotPositiveDefinite):
         norm_trajectory(np.diag([1.0, 2.0]), np.diag([1.0, -1.0]), [1.0, 0.0], [0.0, 1.0])
-    with pytest.raises(BadRange):
-        norm_trajectory(TOY_H, TOY_THETA, [1.0, 0.0], [1.0, 0.5])
+    for times in ([1.0, 0.5], [0.0, np.nan], [0.0, np.inf], [np.nan]):
+        with pytest.raises(BadRange):
+            norm_trajectory(TOY_H, TOY_THETA, [1.0, 0.0], times)
     with pytest.raises(ZeroState):
         norm_trajectory(TOY_H, TOY_THETA, [0.0, 0.0], [0.0, 1.0])
 
@@ -186,6 +187,37 @@ def test_trajectory_certificates_do_not_depend_on_the_state_scale(scale):
     assert record.drift <= 1e-12
     assert record.dual_residual <= 1e-12
     np.testing.assert_allclose(record.states, scale * base.states, rtol=1e-12)
+
+
+def test_trajectory_stacks_match_the_per_sample_loop():
+    # the per-sample loop that the stacked bookkeeping replaced is the reference
+    H, theta, psi0 = random_triple(3, 6)
+    times = np.linspace(0.0, 10.0, 11)
+    record = norm_trajectory(H, theta, psi0, times)
+    states = [propagate(H, psi0, t) for t in times]
+    duals = [propagate_dual(H, theta, psi0, t) for t in times]
+    norms = np.array([np.vdot(phi, theta @ phi).real for phi in states])
+    residuals = [mc.rel_residual(chi - theta @ phi, theta, phi) for phi, chi in zip(states, duals)]
+    eps = 4 * np.finfo(float).eps
+    np.testing.assert_array_equal(record.states, states)
+    np.testing.assert_array_equal(record.dual_states, duals)
+    np.testing.assert_allclose(record.norms, norms, rtol=eps)
+    assert record.drift == pytest.approx(np.abs(norms - norms[0]).max() / norms[0], abs=eps)
+    assert record.dual_residual == pytest.approx(max(residuals), abs=eps)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+@pytest.mark.parametrize("dim", [2, 4, 6, 16])
+def test_trajectory_does_not_depend_on_the_metric_scale(k, dim):
+    # Theta alone scaled by 2^k: only the duals and norms follow, by exactly 2^k
+    H, theta, psi0 = random_triple(7, dim)
+    times = np.linspace(0.0, 10.0, 101)
+    base = norm_trajectory(H, theta, psi0, times)
+    record = norm_trajectory(H, 2.0**k * theta, psi0, times)
+    np.testing.assert_array_equal(record.states, base.states)
+    np.testing.assert_array_equal(record.dual_states, 2.0**k * base.dual_states)
+    np.testing.assert_array_equal(record.norms, 2.0**k * base.norms)
+    assert (record.drift, record.dual_residual) == (base.drift, base.dual_residual)
 
 
 def test_trajectory_serialization_shapes():

@@ -324,6 +324,18 @@ def test_overflowing_factor_products_are_a_factorization_mismatch():
             verify(huge, 1e-9)
 
 
+def test_an_overflowing_metric_identity_fails_quietly():
+    # the factor products stay finite; Lambda_0^dagger times the longest one does not
+    chain = toy_chain()
+    huge = ObservableChain(
+        chain.N, chain.dim,
+        tuple(1e150 * L for L in chain.observables), tuple(1e150 * Z for Z in chain.factors),
+    )
+    report = verify_theorem1(huge, 1e-9)
+    assert {"metric-identity[k=0]", "metric-identity[k=1]"} <= set(report.failed())
+    assert np.isnan(report.residual("metric-identity[k=0]"))
+
+
 def test_nonhermitian_last_factor_fails_hermiticity_relation():
     chain = toy_chain()
     factors = list(chain.factors)

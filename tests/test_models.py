@@ -162,6 +162,22 @@ def test_random_qh_and_qh_pair_refuse_bad_dimensions():
         qh_pair(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("size", [np.nan, np.inf, -np.inf, 2.5])
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda n: pt_chain(n, 0.5), BadDimension, "chain needs d >= 2 sites"),
+        (parity, BadDimension, "parity needs d >= 2"),
+        (lambda n: random_qh(n, 0), BadDimension, "random_qh needs d >= 2"),
+        (lambda n: sweep_exceptional(toy_2x2, 0.0, 2.0, n), BadRange, "need at least 2 samples"),
+    ],
+    ids=["pt_chain", "parity", "random_qh", "sweep_exceptional"],
+)
+def test_sizes_must_be_finite_whole_numbers(make, error, message, size):
+    with pytest.raises(error, match=message):
+        make(size)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_random_qh_draws_at_large_dimension(seed):
     H, theta = random_qh(64, seed)
