@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import matrixcore as mc
-from .dieudonne import SOLVE_TOL, check_quasi_hermitian, metric_from_weights, solve_metric_space
+from .dieudonne import check_quasi_hermitian, metric_from_weights, solve_metric_space
 from .errors import InputError, InputFormatError, QuasihermError
 from .evolution import norm_trajectory
 from .factorchain import ObservableChain, build_chain, verify_chain, verify_theorem1
@@ -125,8 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, report: dict, to_csv) -> None:
-    """Write the JSON report, or ``to_csv()`` under ``--format csv``, to --out or stdout."""
-    payload = to_csv() if args.format == "csv" else json.dumps(report, indent=2) + "\n"
+    """Write the JSON report (NaN and +-inf as null) or ``to_csv()`` to --out or stdout."""
+    if args.format == "csv":
+        payload = to_csv()
+    else:
+        try:
+            payload = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # only a non-finite float is refused
+            report = json.loads(json.dumps(report), parse_constant=lambda _: None)
+            payload = json.dumps(report, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
@@ -135,7 +142,7 @@ def _emit(args, report: dict, to_csv) -> None:
 
 
 def _default_metric(H, tol: float):
-    family = solve_metric_space(H, tol=min(tol, SOLVE_TOL))
+    family = solve_metric_space(H, tol=tol)
     theta = metric_from_weights(family, family.kappa_default)
     return family, theta
 
@@ -251,7 +258,7 @@ def _cmd_suite(args):
         dim = dims[i % len(dims)]
         depth = 1 + i % args.n_factors
         H, _ = random_qh(dim, seed)
-        family = solve_metric_space(H)
+        family = solve_metric_space(H, tol=args.tol)
         rng = DeterministicRng(seed + _DRAW_SEED_OFFSET)
         kappa = [0.5 + 1.5 * rng.uniform() for _ in range(dim)]
         theta = metric_from_weights(family, kappa)

@@ -3,7 +3,7 @@ metric candidates, parameterize the admissible (positive-definite) family and
 evaluate physical inner products.
 
 For a diagonalizable H with a real spectrum, the sorted eigenvalues fall into
-clusters (a new one starts at every gap of at least ``tol * ||H||``); cluster
+clusters (a new one starts at every gap above ``CLUSTER_RTOL * ||H||``); cluster
 b has multiplicity m_b and left eigenvector block ``L_b``.  The Hermitian
 solutions are ``sum_b L_b K_b L_b^dagger`` over Hermitian m_b x m_b blocks
 ``K_b``, positive definite exactly when every ``K_b`` is (Scholtz, Geyer and
@@ -38,8 +38,10 @@ from .errors import (
 SPAN_AGREEMENT_TOL = 1e-8
 #: intertwining residual above which an (operator, metric) pair is refused
 QH_GATE = 1e-10
-#: default relative threshold of the metric solve's reality and clustering tests
+#: default relative threshold of the metric solve's reality test
 SOLVE_TOL = 1e-10
+#: eigenvalue gap, relative to ||H||, above which a new eigenvalue cluster starts
+CLUSTER_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,9 @@ def solve_metric_space(H, tol: float = SOLVE_TOL) -> MetricFamily:
     H : array_like
         Square diagonalizable Hamiltonian with (numerically) real spectrum.
     tol : float
-        Relative threshold used for the spectral-reality precondition and
-        the eigenvalue clustering.
+        Relative threshold of the spectral-reality precondition alone (BadRange
+        unless positive and finite); clusters start at gaps above
+        ``CLUSTER_RTOL * ||H||``.
 
     Returns
     -------
@@ -134,23 +137,22 @@ def solve_metric_space(H, tol: float = SOLVE_TOL) -> MetricFamily:
         When the left eigenvectors of H and the separately computed right
         eigenvectors of ``H^dagger`` disagree beyond 1e-8.
 
-    Warns with DegenerateSpectrumWarning when some eigenvalue gap falls
-    below ``tol * ||H||``, i.e. when a cluster has more than one member.
+    Warns with DegenerateSpectrumWarning when a cluster has more than one
+    member, i.e. some eigenvalue gap is at most ``CLUSTER_RTOL * ||H||``.
     """
     Hm = mc.as_square_matrix(H, "H")
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
+    tol = mc.as_tolerance(tol)
     scale = mc.fro(Hm)
 
     spectral = mc.eig(Hm)
     max_imag, imag_ratio = mc.spectrum_imag(spectral.eigenvalues, scale)
-    if imag_ratio > tol:
+    if not imag_ratio <= tol:
         raise ComplexSpectrum(
             f"max |Im eigenvalue| {max_imag:.3e} exceeds {tol:.1e} * ||H||"
         )
 
     gaps = np.abs(np.diff(spectral.eigenvalues))
-    labels = np.concatenate(([0], np.cumsum(gaps >= tol * max(scale, 1e-300))))
+    labels = np.concatenate(([0], np.cumsum(gaps > CLUSTER_RTOL * scale)))
     cluster_sizes = np.bincount(labels)
     Q = spectral.left_vectors / np.linalg.norm(spectral.left_vectors, axis=0)
     if len(cluster_sizes) < Hm.shape[0]:

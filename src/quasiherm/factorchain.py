@@ -268,6 +268,7 @@ def verify_chain(chain: ObservableChain, tol: float) -> VerificationReport:
     able3/able2/able1 at N = 2, bable4...bable1 at N = 3, and the deble
     family otherwise, plus one Hermiticity entry per proper suffix product.
     """
+    tol = mc.as_tolerance(tol)
     N = chain.N
     factors = chain.factors
     suffixes = chain.suffix_products()
@@ -297,6 +298,7 @@ def verify_theorem1(chain: ObservableChain, tol: float) -> VerificationReport:
     (with M_k the suffix products, M_0 the recomposed metric) are included
     for k = 0 ... N-1.
     """
+    tol = mc.as_tolerance(tol)
     Theta = chain.Theta
     relations = []
     for k, (Lam, P) in enumerate(zip(chain.observables[1:], chain.prefix_products()), 1):

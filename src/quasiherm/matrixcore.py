@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadRange,
     DefectiveMatrix,
     DimensionMismatch,
     ExponentialOverflow,
@@ -35,7 +36,7 @@ from .errors import (
 )
 
 #: raw left/right overlap below which a matrix is declared non-diagonalizable
-DEFECT_OVERLAP_TOL = 1e-12
+DEFECT_OVERLAP_TOL = 1e-7
 #: reciprocal 1-norm condition number an invertible matrix must exceed
 PIVOT_RTOL = 1e-14
 #: Hermitian defect, relative to the largest entry, above which a matrix is refused
@@ -74,6 +75,13 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     if not np.isfinite(x).all():
         raise InputFormatError(f"{name} contains non-finite entries")
     return x
+
+
+def as_tolerance(tol) -> float:
+    """The one check of a tolerance: ``float(tol)`` if positive and finite, else BadRange."""
+    if not 0.0 < tol < math.inf:
+        raise BadRange(f"tol must be positive and finite, got {tol}")
+    return float(tol)
 
 
 def entry_norm(A) -> float:

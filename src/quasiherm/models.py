@@ -202,6 +202,7 @@ def spectral_reality(H, tol: float) -> tuple[bool, float]:
     Propagates DefectiveMatrix from the eigensolver at exceptional points.
     """
     Hm = mc.as_square_matrix(H, "H")
+    tol = mc.as_tolerance(tol)
     max_imag, ratio = mc.spectrum_imag(mc.eig(Hm).eigenvalues, mc.fro(Hm))
     return bool(ratio <= tol), float(max_imag)
 
@@ -252,11 +253,11 @@ def _reality_flags(H, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _positive_phase(H, tol: float) -> bool:
     """Positivity of the all-ones spectral metric of a real-phase matrix.
 
-    ``_reality_flags`` flagged H real on ``mc.eig``'s own bits, at no more than
-    the solve's tolerance, so the solve can refuse it only by SpanMismatch.
+    ``_reality_flags`` flagged H real and not defective on ``mc.eig``'s own bits
+    at the solve's own ``tol``, so the solve can refuse it only by SpanMismatch.
     """
     try:
-        family = solve_metric_space(H, tol=max(tol, 1e-12))
+        family = solve_metric_space(H, tol=tol)
     except SpanMismatch:
         return False
     theta = metric_from_weights(family, family.kappa_default)
@@ -397,6 +398,7 @@ def sweep_exceptional(
     """
     if not (lo < hi and np.isfinite(float(hi) - float(lo))):
         raise BadRange(f"need lo < hi a finite distance apart, got [{lo}, {hi}]")
+    tol = mc.as_tolerance(tol)
     grid = np.linspace(lo, hi, _whole(samples, 2, BadRange, "need at least 2 samples"))
     shape = None
 

@@ -128,6 +128,25 @@ def test_metric_broken_phase_exits_one(tmp_path):
     assert run(["metric", "--input", path]) == 1
 
 
+@pytest.mark.parametrize("command", ["metric", "chain", "evolve"])
+def test_every_command_judges_reality_at_its_tol(tmp_path, capsys, command):
+    # |Im lambda| / ||H|| = 2.2e-7: complex at the default --tol 1e-9, real at 1e-6
+    H = write_json(tmp_path / "near.json", mc.matrix_to_json(pt_chain(2, 1.0 + 1e-13)))
+    psi = write_json(tmp_path / "psi.json", mc.vector_to_json([1.0, 0.0]))
+    argv = [command, "--input", H] + (["--state", psi] if command == "evolve" else [])
+    assert run(argv) == 1
+    assert "ComplexSpectrum: max |Im eigenvalue| 4.470e-07 exceeds 1.0e-09 * ||H||" in (
+        capsys.readouterr().err
+    )
+    assert run(["analyze", "--input", H, "--tol", "1e-6"]) == 0
+    capsys.readouterr()
+    # real, as analyze says; the metric then fails its positivity gate
+    assert run(argv + ["--tol", "1e-6"]) == 1
+    captured = capsys.readouterr()
+    assert "ComplexSpectrum" not in captured.err
+    assert '"positive_definite": false' in captured.out or "NotPositiveDefinite" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # chain / verify
 # ---------------------------------------------------------------------------
@@ -285,6 +304,19 @@ def test_verify_of_an_overflowing_metric_identity_exits_one_quietly(tmp_path):
     assert "Warning" not in proc.stderr
     relations = json.loads(proc.stdout)["theorem1"]["relations"]
     assert not any(r["pass"] for r in relations if r["relation"].startswith("metric-identity"))
+
+
+def test_non_finite_report_numbers_are_written_as_null(tmp_path):
+    proc = verify_scaled_toy_chain(tmp_path, 1e150)
+    assert proc.returncode == 1, proc.stderr
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads(proc.stdout, parse_constant=refuse)
+    relations = report["ladder"]["relations"] + report["theorem1"]["relations"]
+    residuals = {r["relation"]: r["residual"] for r in relations}
+    assert residuals["metric-identity[k=0]"] is None
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from quasiherm.dieudonne import (
     solve_metric_space,
 )
 from quasiherm.errors import (
+    BadRange,
     ComplexSpectrum,
     DefectiveMatrix,
     DegenerateSpectrumWarning,
@@ -93,6 +94,38 @@ def test_solve_degenerate_spectrum_gives_block_family():
     # one weight per eigenvalue, not per basis element
     with pytest.raises(DimensionMismatch):
         metric_from_weights(family, np.ones(9))
+
+
+def test_zero_hamiltonian_is_one_cluster():
+    with pytest.warns(DegenerateSpectrumWarning):
+        family = solve_metric_space(np.zeros((3, 3)))
+    assert family.cluster_sizes == (3,)
+
+
+def test_solve_tol_is_the_reality_test_alone():
+    # |Im lambda| / ||H|| = 2.2e-7 passes a 1e-6 reality test; the pair's
+    # splitting 8.9e-7 is still far above the clustering's 1e-10 * ||H||
+    H = pt_chain(2, 1.0 + 1e-13)
+    with pytest.raises(ComplexSpectrum, match="exceeds 1.0e-09"):
+        solve_metric_space(H, tol=1e-9)
+    assert solve_metric_space(H, tol=1e-6).cluster_sizes == (1, 1)
+    assert solve_metric_space(np.diag([1.0, 1.0 + 1e-8]), tol=1e-6).cluster_sizes == (1, 1)
+
+
+@pytest.mark.filterwarnings("ignore::quasiherm.errors.DegenerateSpectrumWarning")
+@pytest.mark.parametrize(
+    "H, sizes",
+    [
+        (np.diag([1.0, 1.0, 2.0]), (2, 1)),
+        (random_qh(3, 5)[0], (1, 1, 1)),
+        (random_qh(4, 1)[0], (1,) * 4),
+        (random_qh(6, 2)[0], (1,) * 6),
+    ],
+)
+def test_clusters_hold_down_to_subnormal_scales(H, sizes):
+    # a 1e-300 floor under ||H|| once merged every cluster below it
+    for k in range(-1040, 1001, 20):
+        assert solve_metric_space(2.0**k * H).cluster_sizes == sizes
 
 
 def similar_to_diagonal(eigenvalues, seed):
@@ -357,5 +390,5 @@ def test_inner_product_hermitian_symmetry_and_positivity(seed):
 @pytest.mark.parametrize("tol", [0.0, np.nan, np.inf])
 def test_solve_rejects_nonpositive_or_nonfinite_tol(tol):
     # a complex spectrum: a tolerance that passed here would admit it
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(BadRange, match="finite"):
         solve_metric_space(pt_chain(4, 1.5), tol=tol)

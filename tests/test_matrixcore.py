@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasiherm import matrixcore as mc
+from quasiherm.dieudonne import solve_metric_space
 from quasiherm.errors import (
+    BadRange,
     DefectiveMatrix,
     DimensionMismatch,
     ExponentialOverflow,
@@ -15,7 +17,16 @@ from quasiherm.errors import (
     NotHermitian,
     SingularMatrix,
 )
-from quasiherm.models import pt_chain, random_qh, spectral_reality, toy_2x2
+from quasiherm.factorchain import build_chain, verify_chain, verify_theorem1
+from quasiherm.models import (
+    parity,
+    pt_chain,
+    random_qh,
+    spectral_reality,
+    sweep_exceptional,
+    toy_2x2,
+    toy_2x2_metric,
+)
 
 RNG_SEEDS = range(12)
 
@@ -274,6 +285,21 @@ def test_eig_stack_flags_an_exactly_singular_basis_without_raising():
     assert defective.tolist() == [False, True]
     assert np.isnan(overlap[1])
     np.testing.assert_allclose(w[0], [-np.sqrt(0.75), np.sqrt(0.75)], rtol=1e-14)
+
+
+def exceptional_gamma(d):
+    """The gain/loss at which ``pt_chain(d, .)`` has its exceptional point."""
+    return 1.0 if d % 2 == 0 else np.sqrt((d + 1) / (d - 1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_exceptional_point_is_defective_at_every_scale(d):
+    # with the gate at 1e-12 the verdict followed the rounding: at d = 2 it
+    # read real at 20 of these 41 scales, at d = 8 real or complex
+    H = pt_chain(d, exceptional_gamma(d))
+    for k in range(-20, 21):
+        with pytest.raises(DefectiveMatrix):
+            spectral_reality(2.0**k * H, 1e-9)
 
 
 def test_eig_stack_requires_a_stack_of_square_matrices():
@@ -551,3 +577,31 @@ def test_matrix_json_rejects_malformed(obj):
 def test_matrix_json_rejects_nonfinite():
     with pytest.raises(InputFormatError):
         mc.matrix_from_json({"dim": 1, "re": [float("nan")], "im": [0.0]})
+
+
+# ---------------------------------------------------------------------------
+# as_tolerance
+# ---------------------------------------------------------------------------
+
+def _tolerance_takers():
+    chain = build_chain(toy_2x2(2.0), toy_2x2_metric(2.0), [parity(2)])
+    return [
+        lambda tol: solve_metric_space(toy_2x2(2.0), tol),
+        lambda tol: spectral_reality(toy_2x2(2.0), tol),
+        lambda tol: sweep_exceptional(lambda g: pt_chain(2, g), 0.0, 2.0, 5, tol=tol),
+        lambda tol: verify_chain(chain, tol),
+        lambda tol: verify_theorem1(chain, tol),
+    ]
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+@pytest.mark.parametrize("taker", range(5))
+def test_every_tolerance_taker_refuses_a_bad_tolerance(taker, tol):
+    # NaN and -1 failed every relation, 0 passed the toy chain, inf raised ValueError
+    with pytest.raises(BadRange, match="tol must be positive and finite"):
+        _tolerance_takers()[taker](tol)
+
+
+def test_as_tolerance_passes_a_good_tolerance_as_a_float():
+    assert mc.as_tolerance(np.float32(0.5)) == 0.5
+    assert type(mc.as_tolerance(1)) is float

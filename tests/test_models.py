@@ -394,6 +394,52 @@ def test_sweep_bisection_crosses_orders_of_magnitude(tol):
     assert result.critical_estimate == pytest.approx(0.5 + np.sqrt(2.0) * tol, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [4, 8, 16])
+@pytest.mark.parametrize("tol", [1e-6, 1e-3])
+def test_loose_sweep_tolerance_leaves_the_clusters_alone(d, tol):
+    # the tolerance is the reality test alone: clustering at 1e-6 * ||H||
+    # warned of a degenerate spectrum near the exceptional point
+    result = sweep_exceptional(lambda g: pt_chain(d, g), 0.0, 2.0, 21, tol=tol)
+    assert result.reality_flags[0] and not result.reality_flags[-1]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_sweep_through_the_exceptional_point_is_scale_free(d):
+    # the grid hits the exceptional point, whose defect verdict once followed the rounding
+    critical = 1.0 if d % 2 == 0 else np.sqrt((d + 1) / (d - 1))
+
+    def flags(k):
+        result = sweep_exceptional(lambda g: 2.0**k * pt_chain(d, g), 0.0, 2.0 * critical, 21)
+        return result.reality_flags, result.positivity_flags
+
+    base = flags(0)
+    assert base[0][10] is False
+    assert all(flags(k) == base for k in range(-30, 31))
+
+
+def _losing_pair_family(g):
+    # the pair of pt_chain(2, g) + 5 I coalesces at g = 1; the third level
+    # comes within the pair's splitting of it near g = 0.995
+    H = np.zeros((3, 3), dtype=complex)
+    H[:2, :2] = pt_chain(2, g) + 5.0 * np.eye(2)
+    H[2, 2] = 5.2 + 130.0 * (g - 0.995) ** 2
+    return H
+
+
+def test_root_find_that_loses_its_pair_bisects_and_finds_it_again(monkeypatch):
+    squared_splitting, values = models._squared_splitting, []
+
+    def spy(*args):
+        values.append(squared_splitting(*args))
+        return values[-1]
+
+    monkeypatch.setattr(models, "_squared_splitting", spy)
+    result = sweep_exceptional(_losing_pair_family, 0.9, 1.1, 2)
+    assert None in values
+    assert result.critical_method == "root"
+    assert abs(result.critical_estimate - 1.0) <= 1e-14
+
+
 def test_sweep_refinement_is_capped(monkeypatch):
     monkeypatch.setattr(models, "_MAX_EVALUATIONS", 3)
     result = sweep_exceptional(_flag_flips_at_half, 0.0, 1e300, 21)

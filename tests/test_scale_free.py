@@ -183,14 +183,12 @@ def test_spectral_reality(k, seed, dim, kind):
         assert abs(scaled[1] * 2.0**-k - base[1]) <= 1e-12 * mc.fro(H)
 
 
-@degenerate_warns
 @settings(max_examples=20, deadline=None)
 @given(EXPONENTS, st.integers(2, 4))
 def test_sweep_exceptional(k, dim):
-    # The grid misses the exceptional point at 1: there the computed overlap
-    # is at rounding level, and the reality flag follows the rounding.
+    # The grid holds the exceptional point of the even chains at 1.
     def sweep(s):
-        return sweep_exceptional(lambda g: s * pt_chain(dim, g), 0.0, 2.0, 8)
+        return sweep_exceptional(lambda g: s * pt_chain(dim, g), 0.0, 2.0, 9)
 
     base, scaled = sweep(1.0), sweep(2.0**k)
     assert scaled.reality_flags == base.reality_flags
