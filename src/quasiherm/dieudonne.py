@@ -140,16 +140,15 @@ def solve_metric_space(H, tol: float = SOLVE_TOL) -> MetricFamily:
     Warns with DegenerateSpectrumWarning when a cluster has more than one
     member, i.e. some eigenvalue gap is at most ``CLUSTER_RTOL * ||H||``.
     """
-    Hm = mc.as_square_matrix(H, "H")
+    Hm, e = mc._unit_scaled(mc.as_square_matrix(H, "H"))
     tol = mc.as_tolerance(tol)
     scale = mc.fro(Hm)
 
     spectral = mc.eig(Hm)
     max_imag, imag_ratio = mc.spectrum_imag(spectral.eigenvalues, scale)
     if not imag_ratio <= tol:
-        raise ComplexSpectrum(
-            f"max |Im eigenvalue| {max_imag:.3e} exceeds {tol:.1e} * ||H||"
-        )
+        max_imag = mc._ldexp(max_imag, -e)
+        raise ComplexSpectrum(f"max |Im eigenvalue| {max_imag:.3e} exceeds {tol:.1e} * ||H||")
 
     gaps = np.abs(np.diff(spectral.eigenvalues))
     labels = np.concatenate(([0], np.cumsum(gaps > CLUSTER_RTOL * scale)))
@@ -168,6 +167,8 @@ def solve_metric_space(H, tol: float = SOLVE_TOL) -> MetricFamily:
     )
     if not residual <= SPAN_AGREEMENT_TOL:
         raise SpanMismatch(f"eigensolves of H and H^dagger disagree by {residual:.3e}")
+    spectral = mc.SpectralData(mc._ldexp(spectral.eigenvalues, -e), spectral.right_vectors,
+                               spectral.left_vectors, spectral.condition_estimate)
     return MetricFamily(tuple(cluster_sizes.tolist()), spectral, residual)
 
 
@@ -196,12 +197,11 @@ def check_quasi_hermitian(L, Theta) -> float:
 
     The package's one evaluation of the intertwining relation (chain rungs
     and PC products included); zero-safe as ``matrixcore.rel_residual``.
-    The caller compares the result against its own tolerance; a product
-    beyond the float range makes it NaN, which fails every gate.
+    The caller compares the result against its own tolerance.  The operands
+    pass ``matrixcore.in_range``, so an exact power of two on either keeps it.
     """
-    Lm, Tm = mc.square_pair(L, Theta, "L", "Theta")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return mc.rel_residual(Lm.conj().T @ Tm - Tm @ Lm, Lm, Tm)
+    Lm, Tm = mc.in_range(*mc.square_pair(L, Theta, "L", "Theta"))
+    return mc.rel_residual(Lm.conj().T @ Tm - Tm @ Lm, Lm, Tm)
 
 
 def require_quasi_hermitian(L, Theta, what: str) -> None:

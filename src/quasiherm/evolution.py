@@ -84,7 +84,7 @@ def norm_trajectory(H, Theta, psi0, times) -> TrajectoryRecord:
     ``times`` holds only the two exponentials; Theta times the states, the
     norms and the dual residual are computed on the ``(k, d)`` stacks.  Both
     psi0 and Theta are ``_unit_scaled`` and the results scaled back by a
-    power of two, so ``drift`` and ``dual_residual`` depend on the scale of
+    power of four, so ``drift`` and ``dual_residual`` depend on the scale of
     neither.  A zero psi0 raises ZeroState.
     """
     Hm, Tm = mc.square_pair(H, Theta, "H", "Theta")
@@ -108,12 +108,8 @@ def norm_trajectory(H, Theta, psi0, times) -> TrajectoryRecord:
     drift = float(np.abs(norms - norms[0]).max() / abs(norms[0]))
     diff = np.linalg.norm(duals - theta_states, axis=1)
     worst = float(np.max(diff / (np.linalg.norm(T) * np.linalg.norm(states, axis=1))))
-    e, f = e.item(), f.item()
-    with np.errstate(over="ignore"):  # a norm beyond the float range reads inf
-        states = np.ldexp(states.view(np.float64), -e).view(complex)
-        duals = np.ldexp(duals.view(np.float64), -e - f).view(complex)
-        norms = np.ldexp(norms, -2 * e - f)
-    return TrajectoryRecord(ts, states, duals, norms, drift, worst)
+    states, duals = mc._ldexp(states, -e), mc._ldexp(duals, -e - f)  # beyond the range: inf
+    return TrajectoryRecord(ts, states, duals, mc._ldexp(norms, -2 * e - f), drift, worst)
 
 
 def expectation(L, Theta, psi) -> complex:

@@ -102,20 +102,36 @@ def fro(A) -> float:
     if 1e-140 < norm < 1e140 or not np.all(np.isfinite(A)):
         return norm
     scaled, e = _unit_scaled(A)
-    return float(np.ldexp(np.linalg.norm(scaled), -e.item()))
+    return float(_ldexp(np.linalg.norm(scaled), -e))
 
 
 def _unit_scaled(A, axis=None) -> tuple[np.ndarray, np.ndarray]:
-    """``(A * 2**e, e)`` with the largest real or imaginary part in [0.5, 1),
-    exact (signed zeros included) even where the float ``2.0**e`` overflows.
-
-    The largest part is taken over ``axis`` (all of A by default; ``(-2, -1)``
-    scales each matrix of a stack on its own); ``e`` keeps the reduced axes.
-    """
+    """``(A * 2**e, e)``, e even, with the largest real or imaginary part in
+    [1/4, 1), exact even where ``2.0**e`` overflows: the one scaling rule of
+    the gates.  Even, since LAPACK's shifts take square roots of entries, so
+    ``eig(4**j * A)`` is ``4**j * eig(A)`` bit for bit and odd powers differ.
+    The part is largest over ``axis``: all of A (an int e) or ``(-2, -1)``,
+    each matrix of a stack on its own (e keeps those axes)."""
     A = np.ascontiguousarray(A, dtype=np.result_type(A, np.float64))
-    peak = np.max(np.abs(A.view(np.float64)), axis=axis, keepdims=True, initial=0.0)
-    e = -np.frexp(peak)[1]
-    return np.ldexp(A.view(np.float64), e).view(A.dtype), e
+    parts = A.view(np.float64)
+    peak = np.abs(parts).max(axis=axis, keepdims=axis is not None, initial=0.0)
+    e = -2 * ((np.frexp(peak)[1] + 1) // 2)
+    return np.ldexp(parts, e).view(A.dtype), e
+
+
+def _ldexp(x, e) -> np.ndarray:
+    """``x * 2**e`` part by part, the one scale-back: inf beyond the float range, quietly."""
+    x = np.asarray(x)
+    with np.errstate(over="ignore"):
+        return np.ldexp(x.view(np.float64), e).view(x.dtype)
+
+
+def in_range(*operands) -> tuple[np.ndarray, ...]:
+    """Operands of a relation homogeneous in each, ``_unit_scaled`` unless every
+    largest entry lies in (1e-140, 1e140): no entry product or norm then leaves the range."""
+    if all(1e-140 < entry_norm(A) < 1e140 for A in operands):
+        return operands
+    return tuple(_unit_scaled(A)[0] for A in operands)
 
 
 def rel_residual(diff, *operands) -> float:
@@ -251,13 +267,14 @@ def is_positive_definite(Theta) -> tuple[bool, float]:
     Theta must pass ``require_hermitian`` (NotHermitian otherwise).
     ``lambda_min`` is the smallest eigenvalue of ``(Theta + Theta^dagger)/2``,
     and the flag is true iff it exceeds ``PD_RTOL * entry_norm(Theta)``.
-    Both gates are relative, so ``c * Theta`` gets Theta's verdict for every
-    c > 0: a metric is fixed only up to a positive factor.
+    Both gates are relative, and lambda_min is found on the ``_unit_scaled``
+    copy, so ``c * Theta`` gets Theta's verdict for every c > 0.
     """
     M = as_square_matrix(Theta, "Theta")
     require_hermitian(M, "metric")
-    lam_min = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0)[0])
-    return lam_min > PD_RTOL * entry_norm(M), lam_min
+    S, e = _unit_scaled(M)
+    lam_min = float(np.linalg.eigvalsh((S + S.conj().T) / 2.0)[0])
+    return lam_min > PD_RTOL * entry_norm(S), float(_ldexp(lam_min, -e))
 
 
 def require_positive_metric(Theta) -> None:
@@ -315,7 +332,7 @@ def _scaled_inverse(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Sinv = _inv_or_nan(S)
     with np.errstate(over="ignore"):  # an overflow fails the gate below
         rcond = 1.0 / (_norm1(S) * _norm1(Sinv))
-        inv = np.ldexp(Sinv.view(np.float64), e).view(complex)
+    inv = _ldexp(Sinv, e)
     invertible = (rcond > PIVOT_RTOL) & np.isfinite(inv).all(axis=(-2, -1))
     return inv, rcond, invertible
 

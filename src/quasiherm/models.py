@@ -201,10 +201,10 @@ def spectral_reality(H, tol: float) -> tuple[bool, float]:
 
     Propagates DefectiveMatrix from the eigensolver at exceptional points.
     """
-    Hm = mc.as_square_matrix(H, "H")
+    Hm, e = mc._unit_scaled(mc.as_square_matrix(H, "H"))
     tol = mc.as_tolerance(tol)
     max_imag, ratio = mc.spectrum_imag(mc.eig(Hm).eigenvalues, mc.fro(Hm))
-    return bool(ratio <= tol), float(max_imag)
+    return bool(ratio <= tol), float(mc._ldexp(max_imag, -e))
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,7 @@ def _squared_splitting(w, scale: float, centre: float) -> float | None:
     gap = np.abs(near[2] - near[:2]).min() if len(near) > 2 else np.inf
     if not abs(split) < gap:  # also refuses a NaN or infinite splitting
         return None
-    value = float(((split / max(scale, 1e-300)) ** 2).real)
+    value = float(((split / scale) ** 2).real) if split else 0.0
     return 0.0 if abs(value) <= np.finfo(float).eps else value
 
 

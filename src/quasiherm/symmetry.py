@@ -22,7 +22,7 @@ def check_pt_symmetry(H, P) -> float:
     Evaluated as ``||H P - P conj(H)|| / (||H|| ||P||)``; zero iff the
     antilinear commutator vanishes on every vector.
     """
-    Hm, Pm = mc.square_pair(H, P, "H", "P")
+    Hm, Pm = mc.in_range(*mc.square_pair(H, P, "H", "P"))
     return mc.rel_residual(Hm @ Pm - Pm @ np.conj(Hm), Hm, Pm)
 
 

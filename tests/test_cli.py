@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasiherm import errors
@@ -17,6 +17,8 @@ from quasiherm.errors import DegenerateSpectrumWarning
 from quasiherm.evolution import TrajectoryRecord
 from quasiherm.factorchain import ObservableChain, build_chain
 from quasiherm.models import parity, pt_chain, random_qh, toy_2x2, toy_2x2_metric
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -282,8 +284,7 @@ def verify_scaled_toy_chain(tmp_path, scale):
         matrix["im"] = [scale * x for x in matrix["im"]]
     path = write_json(tmp_path / "huge.json", chain)
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "quasiherm.cli", "verify", "--input", path],
         env=env, capture_output=True, text=True, timeout=120,
@@ -810,3 +811,68 @@ def test_exit_codes_property(seed, dim, N, malformation, command):
 
         write_json(bad, MALFORMED[malformation](mc.matrix_to_json(H)))
         assert main([command, "--input", bad] + quiet) == 2
+
+
+# ---------------------------------------------------------------------------
+# adversarial valid inputs in a fresh interpreter
+# ---------------------------------------------------------------------------
+
+#: runs ``main`` on each argv of a JSON list and prints the exit codes
+RUN_COMMANDS = """
+import json, sys
+from quasiherm.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+ADVERSARIAL = {
+    "1x1": [[2.0]],
+    "zero": np.zeros((2, 2)),
+    "jordan": [[1.0, 1.0], [0.0, 1.0]],
+    "identity": np.eye(3),
+    "mixed diagonal": np.diag([1e-300, 1e300]),
+    "subnormal": toy_2x2(2.0) * 2.0**-1060,
+    "exact EP2": pt_chain(2, 1.0),
+    "exact EP3": [[2j, 1.0, 0.0], [2.0, 0.0, 1.0], [0.0, 2.0, -2j]],  # nilpotent
+    "max float": np.full((2, 2), 1.7e308),  # eigenvalue 3.4e308 is beyond the range
+}
+QH_4_3 = random_qh(4, 3)[0]
+#: ``random_qh(4, 3) * 2**k`` over every k from all-zero entries up to the top binade
+SCALED_QH = st.integers(-1100, 1024 - int(np.frexp(np.abs(QH_4_3.view(float)))[1].max())).map(
+    lambda k: np.ldexp(QH_4_3.view(float), k).view(complex)
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(list(ADVERSARIAL.values())), SCALED_QH), max_size=3))
+@example(list(ADVERSARIAL.values()))
+def test_adversarial_inputs_exit_cleanly(matrices):
+    # each command exits 0, 1 or 2 with a strict JSON report, and no numpy warning escapes
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for i, H in enumerate([random_qh(3, 1)[0], *matrices]):
+            H = np.asarray(H, dtype=complex)
+            matrix = write_json(os.path.join(tmp, f"H{i}.json"), mc.matrix_to_json(H))
+            state = write_json(os.path.join(tmp, f"psi{i}.json"),
+                               mc.vector_to_json(np.linspace(1.0, 2.0, len(H))))
+            for command in ("analyze", "metric", "chain", "evolve"):
+                argv = [command, "--input", matrix, "--out", os.path.join(tmp, f"{command}{i}")]
+                runs.append(argv + ["--state", state] * (command == "evolve"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", RUN_COMMANDS, json.dumps(runs)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        codes = json.loads(proc.stdout)
+        assert codes[:4] == [0, 0, 0, 0]  # the plain quasi-Hermitian system passes
+        assert set(codes) <= {0, 1, 2}
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        for argv in runs:
+            if os.path.exists(argv[4]):
+                with open(argv[4]) as fh:
+                    json.load(fh, parse_constant=refuse)

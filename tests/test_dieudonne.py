@@ -392,3 +392,12 @@ def test_solve_rejects_nonpositive_or_nonfinite_tol(tol):
     # a complex spectrum: a tolerance that passed here would admit it
     with pytest.raises(BadRange, match="finite"):
         solve_metric_space(pt_chain(4, 1.5), tol=tol)
+
+
+def test_solve_of_a_matrix_whose_eigenvalue_is_beyond_the_float_range():
+    # eigenvalues 0 and 2a = 3.4e308: the clusters are those of [[1, 1], [1, 1]],
+    # and the eigenvalue beyond the range reads inf without a warning
+    a = 1.7e308
+    family = solve_metric_space(np.full((2, 2), a))
+    assert family.cluster_sizes == (1, 1)
+    assert family.spectral.eigenvalues[-1] == np.inf

@@ -130,11 +130,20 @@ def test_build_chain_rejects_nonhermitian_parameter():
         build_chain(TOY_H, TOY_THETA, [M])
 
 
-def test_build_chain_refuses_a_nan_residual():
-    # residual 0.91 at scale 1; here L^dagger Theta overflows and it reads NaN
+def test_build_chain_refuses_an_overflowing_pair_at_its_true_residual():
+    # L^dagger Theta overflows at this scale; the gate reads the residual of scale 1
     L = np.array([[1.0, 5.0], [0.0, 2.0]])
-    with pytest.raises(QuasiHermiticityViolation, match="residual nan"):
+    with pytest.raises(QuasiHermiticityViolation, match="residual 9.129e-01"):
         build_chain(1e160 * L, 1e160 * np.eye(2), [])
+
+
+def test_build_chain_refuses_a_broken_pair_at_a_tiny_scale():
+    # at 2**-600 the products of entries underflow; unscaled they read residual 0
+    H, theta = random_qh(4, 1)
+    H = H + 1e-3 * mc.fro(H) * np.eye(4, k=1)
+    s = 2.0**-600
+    with pytest.raises(QuasiHermiticityViolation):
+        build_chain(s * H, s * theta, [])
 
 
 def test_build_chain_rejects_bad_metric():

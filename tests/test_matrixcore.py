@@ -118,6 +118,35 @@ def test_fro_huge_input_emits_no_overflow_warning():
     assert got == pytest.approx(np.sqrt(3.0) * 1e200, rel=1e-15)
 
 
+def test_fro_beyond_the_float_range_reads_inf_quietly():
+    big = np.finfo(float).max
+    assert mc.fro([[big, big]]) == np.inf  # any warning fails the test
+
+
+@settings(max_examples=100, deadline=None)
+@given(rescalable_matrices(), st.sampled_from([None, (-2, -1)]))
+def test_unit_scaled_uses_even_exponents(parts, axis):
+    re, im = parts
+    A = re if im is None else re + 1j * im
+    S, e = mc._unit_scaled(A[None] if axis else A, axis=axis)
+    assert np.all(e % 2 == 0)
+    peak = np.abs(S.view(np.float64)).max() if S.size else 0.0
+    assert peak == 0.0 or 0.25 <= peak < 1.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_eig_commutes_with_power_of_four_scaling(seed, d):
+    # why _unit_scaled scales by powers of four: LAPACK's shifts take square roots
+    A = random_complex(np.random.default_rng(seed), d)
+    base = mc.eig(A)
+    for j in (-3, -1, 1, 2, 5):
+        got = mc.eig(mc._ldexp(A, 2 * j))
+        assert np.array_equal(mc._ldexp(got.eigenvalues, -2 * j), base.eigenvalues)
+        assert np.array_equal(got.right_vectors, base.right_vectors)
+        assert np.array_equal(got.left_vectors, base.left_vectors)
+
+
 def test_square_pair_coerces_and_rejects_shape_mismatch():
     A, B = mc.square_pair(np.eye(2), [[1, 2], [3, 4]], "A", "B")
     assert A.dtype == B.dtype == complex
