@@ -3,14 +3,17 @@
 The forward states obey ``i d/dt psi = H psi`` and are propagated with the
 exact exponential ``exp(-i H t)``; the dual (metric-multiplied) states obey
 the conjugate equation ``i d/dt psi'' = H^dagger psi''``.  Both exponentials
-come from ``matrixcore.mat_exp`` (scaling-and-squaring Pade), one call per
-state and one per dual at every sample, so the duals are an independent
-computation rather than ``Theta`` times the states.  When H is
+come from ``matrixcore.mat_exp`` (scaling-and-squaring Pade in numpy), one
+call per state and one per dual at every sample, so the duals are an
+independent computation rather than ``Theta`` times the states.  When H is
 quasi-Hermitian for the metric the two propagations intertwine exactly and
 the weighted norm ``<psi|Theta|psi>`` is conserved, which is what
-``norm_trajectory`` certifies on the stacks of samples.  An exponential too
-large to represent raises ``ExponentialOverflow``.  Step integrators appear
-only in the test suite as an independent oracle.
+``norm_trajectory`` certifies on the stacks of samples.  Each exponential
+errs by about ``||H|| t eps`` relative, so the certified drift grows with
+``||H|| t``; beyond ``||H|| t ~ 1/eps`` no phase is resolved and the
+squarings overflow, which raises ``ExponentialOverflow``, as does an
+exponential too large to represent.  Step integrators appear only in the
+test suite as an independent oracle.
 """
 
 from __future__ import annotations

@@ -169,12 +169,14 @@ def lemma1_observable(M, Theta) -> np.ndarray:
 
     Hermiticity of M is the whole requirement: the product is then
     automatically quasi-Hermitian with respect to Theta, which this function
-    re-checks after the fact.
+    re-checks after the fact.  The product is taken on the ``_unit_scaled``
+    copies, so no partial sum overflows where the product itself is in range.
     """
     Mm, Tm = mc.square_pair(M, Theta, "M", "Theta")
     mc.require_hermitian(Mm, "observable parameter", NotHermitianParameter)
     mc.require_positive_metric(Tm)
-    Lam = Mm @ Tm
+    (S, e), (T, f) = mc._unit_scaled(Mm), mc._unit_scaled(Tm)
+    Lam = mc._ldexp(S @ T, -e - f)  # beyond the float range: inf, refused below
     require_quasi_hermitian(Lam, Tm, "post-hoc check of M Theta")
     return Lam
 

@@ -5,10 +5,9 @@ dtype complex128.  This module owns the validation helpers (including the
 one operand-pair gate ``square_pair``, the one Hermitian gate
 ``require_hermitian`` and the one admissible-metric gate
 ``is_positive_definite``), the biorthogonal eigendecomposition,
-inversion, the package's one matrix exponential (its Pade routine is
-imported on the first call, so importing this module loads numpy alone),
-the JSON interchange format used by every other module and the CLI, and the
-one CSV encoder behind every CSV report.
+inversion, the package's one matrix exponential (scaling and squaring of
+a Pade approximant, in numpy), the JSON interchange format used by every
+other module and the CLI, and the one CSV encoder behind every CSV report.
 
 All functions are pure: inputs are never mutated and no module state exists,
 so concurrent calls from independent tasks are safe.
@@ -148,9 +147,12 @@ def rel_residual(diff, *operands) -> float:
 
 
 def hermitian_defect(A) -> float:
-    """Max-entry norm of ``A - A^dagger``; zero iff A is exactly Hermitian."""
-    M = as_square_matrix(A)
-    return entry_norm(M - M.conj().T)
+    """Max-entry norm of ``A - A^dagger``; zero iff A is exactly Hermitian.
+
+    Found on the ``_unit_scaled`` copy and scaled back, so a defect beyond
+    the float range reads inf, quietly."""
+    S, e = _unit_scaled(as_square_matrix(A))
+    return float(_ldexp(entry_norm(S - S.conj().T), -e))
 
 
 @dataclass(frozen=True)
@@ -254,10 +256,12 @@ def spectrum_imag(eigenvalues, scale):
 
 def require_hermitian(M, what: str, error=NotHermitian) -> None:
     """The one Hermitian gate: raise ``error`` unless the Hermitian defect
-    of M is at most ``HERM_RTOL * entry_norm(M)`` (a NaN defect fails)."""
-    defect = hermitian_defect(M)
-    if not defect <= HERM_RTOL * entry_norm(M):
-        raise error(f"{what} has Hermitian defect {defect:.3e} above "
+    of M is at most ``HERM_RTOL * entry_norm(M)``.  The relation is
+    homogeneous in M, so it is tested on ``in_range(M)``, and the gate holds
+    also where an entry's modulus is beyond the float range."""
+    (S,) = in_range(as_square_matrix(M))
+    if not entry_norm(S - S.conj().T) <= HERM_RTOL * entry_norm(S):
+        raise error(f"{what} has Hermitian defect {hermitian_defect(M):.3e} above "
                     f"{HERM_RTOL:.0e} times its largest entry")
 
 
@@ -284,19 +288,86 @@ def require_positive_metric(Theta) -> None:
         raise NotPositiveDefinite(f"metric has smallest eigenvalue {lam_min:.3e}")
 
 
+#: Higham (2005), Table 2.3: per Pade degree m, the largest ||A||_1 at which
+#: the backward error bound of the [m/m] approximant of exp(A) is 2**-53
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
+
+
+def _pade_sum_weights(m: int) -> np.ndarray:
+    """Weights on the stack ``(I, X^2, X^4, ...)`` of the odd and even coefficient
+    sums of the [m/m] approximant ``(V - U)^-1 (V + U)``, with ``U = X * odd``,
+    ``V = even`` and coefficients ``b_j = (2m - j)! / (j! (m - j)!)``.  Degree 13
+    stops at X^6: its rows 2 and 3 are the parts that Higham's factored form
+    multiplies by X^6 once more.
+    """
+    b = [math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
+         for j in range(m + 1)]
+    odd, even = b[1::2], b[0::2]
+    if m == 13:
+        return np.array([odd[:4], even[:4], [0, *odd[4:]], [0, *even[4:]]], dtype=complex)
+    return np.array([odd, even], dtype=complex)
+
+
+_PADE_WEIGHTS = {m: _pade_sum_weights(m) for m in _PADE_THETA}
+
+
+def _pade_plan(M) -> tuple[int, int, np.ndarray]:
+    """``(m, s, X)`` of ``mat_exp(M)``: the Pade degree, the number of squarings
+    and ``X = M / 2**s``.  Both come from the ``_unit_scaled`` copy S and its
+    exponent, and X is S times a power of two, so no step leaves the float
+    range, also where ``||M||_1`` does."""
+    S, e = _unit_scaled(M)
+    norm, e = float(_norm1(S)), int(e)
+    log_norm = math.log2(norm) - e if norm else -math.inf  # log2 ||M||_1
+    m = next((m for m, theta in _PADE_THETA.items() if log_norm <= math.log2(theta)), 13)
+    s = max(0, math.ceil(log_norm - math.log2(_PADE_THETA[13]))) if m == 13 else 0
+    return m, s, (S * 2.0 ** (-e - s) if s else M)
+
+
 def mat_exp(A) -> np.ndarray:
     """Matrix exponential ``exp(A)``: the package's one exponential.
 
-    Scaling-and-squaring Pade evaluation (``scipy.linalg.expm``, Higham
-    2005), which needs no eigenbasis and so holds at defective and
-    ill-conditioned inputs alike.  scipy is imported on the first call.
+    Scaling and squaring with the [m/m] Pade approximant (Higham, SIAM J.
+    Matrix Anal. Appl. 26 (2005) 1179, Algorithm 2.3), in numpy alone.  The
+    degree is the least m whose bound ``||A||_1 <= theta_m`` holds:
+
+    ======  =====================
+    m       theta_m
+    ======  =====================
+    3       1.495585217958292e-2
+    5       2.539398330063230e-1
+    7       9.504178996162932e-1
+    9       2.097847961257068
+    13      5.371920351148152
+    ======  =====================
+
+    Beyond theta_13, A is divided by 2**s so that ``||A / 2**s||_1 <= theta_13``
+    and the approximant is squared s times.  The plan (``_pade_plan``) holds
+    for every finite A, also where ``||A||_1`` is beyond the float range.  No
+    eigenbasis is needed, so defective and ill-conditioned inputs are alike.
+    The error grows like ``||A|| * eps`` relative: beyond ``||A|| ~ 1/eps``
+    no phase of ``exp(A)`` is resolved, and the s squarings of that noise
+    typically overflow.
 
     Raises ExponentialOverflow when the result has a non-finite entry.
     """
-    import scipy.linalg
+    m, s, X = _pade_plan(as_square_matrix(A))
+    weights = _PADE_WEIGHTS[m]
+    powers = np.empty((weights.shape[1], *X.shape), dtype=complex)
+    powers[0] = np.eye(len(X))
+    np.matmul(X, X, out=powers[1])
+    for k in range(2, len(powers)):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    sums = (weights @ powers.reshape(len(powers), -1)).reshape(-1, *X.shape)
+    if len(sums) == 4:  # Higham's degree 13: the sums up to X^12 from the powers up to X^6
+        sums = sums[:2] + powers[3] @ sums[2:]
+    U, V = X @ sums[0], sums[1]
+    E = np.linalg.solve(V - U, V + U)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        E = scipy.linalg.expm(as_square_matrix(A))
-    if not np.all(np.isfinite(E)):
+        for _ in range(s):
+            E = E @ E
+    if not np.isfinite(E).all():
         raise ExponentialOverflow("exp(A) has non-finite entries: A is too large")
     return E
 

@@ -517,10 +517,37 @@ def test_evolve_wrong_state_length_exits_two(tmp_path, capsys):
     assert "input error: DimensionMismatch" in capsys.readouterr().err
 
 
-def test_evolve_huge_scale_passes(tmp_path):
+def test_evolve_beyond_phase_resolution_exits_one(tmp_path, capsys):
+    # ||H|| t ~ 1e101 resolves no phase of exp(-iHt): its squarings overflow
     H, _ = random_qh(6, 1)
     argv = evolve_files(tmp_path, 1e100 * H, np.ones(6))
-    assert run(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert run(argv + ["--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert "ExponentialOverflow" in err
+    assert "input error" not in err
+
+
+#: ``random_qh(6, 1)`` scaled by these factors, in increasing order
+EVOLVE_SCALES = [1.0, 1e2, 1e4, *(10.0**k for k in range(5, 13)), 1e50, 1e100, 1e200, 1e300]
+
+
+def test_evolve_verdict_is_monotone_in_scale(tmp_path):
+    # once ||H|| t is past what the drift gate resolves, no larger scale passes again;
+    # each scale runs in a fresh interpreter where a numpy RuntimeWarning is an error
+    H, _ = random_qh(6, 1)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    codes = []
+    for scale in EVOLVE_SCALES:
+        argv = evolve_files(tmp_path, scale * H, np.ones(6)) + ["--out", os.devnull]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", RUN_COMMANDS, json.dumps([argv])],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes += json.loads(proc.stdout)
+    assert codes[0] == 0 and codes[-1] == 1
+    assert codes == sorted(codes), dict(zip(EVOLVE_SCALES, codes))
 
 
 @pytest.mark.parametrize("scale, code", [(1e-160, 0), (0.0, 2)], ids=["tiny", "zero"])
@@ -834,6 +861,7 @@ ADVERSARIAL = {
     "exact EP2": pt_chain(2, 1.0),
     "exact EP3": [[2j, 1.0, 0.0], [2.0, 0.0, 1.0], [0.0, 2.0, -2j]],  # nilpotent
     "max float": np.full((2, 2), 1.7e308),  # eigenvalue 3.4e308 is beyond the range
+    "max float skew": [[0.0, 1.7e308], [-1.7e308, 0.0]],  # Hermitian defect 3.4e308
 }
 QH_4_3 = random_qh(4, 3)[0]
 #: ``random_qh(4, 3) * 2**k`` over every k from all-zero entries up to the top binade

@@ -1,7 +1,7 @@
-"""The package and the CLI commands that compute no exponential load no scipy.
+"""The package and every CLI command run on numpy alone: scipy is a test oracle.
 
-Each check runs in a fresh interpreter, since the test process itself has
-scipy loaded.
+Each check runs in a fresh interpreter, since the test process itself may
+have scipy loaded.
 """
 
 import json
@@ -43,26 +43,33 @@ def test_import_loads_no_scipy(module):
     assert out.strip() == "False"
 
 
-def test_only_an_exponential_loads_scipy(tmp_path):
+def seven_commands(tmp_path):
+    """(name, argv) of each subcommand on small inputs, all of which exit 0."""
     H, _ = random_qh(3, 1)
     matrix, state, chain = (str(tmp_path / f) for f in ("H.json", "psi.json", "chain.json"))
     Path(matrix).write_text(json.dumps(mc.matrix_to_json(H)))
     Path(state).write_text(json.dumps(mc.vector_to_json(np.ones(3))))
     quiet = ["--out", os.devnull]
-    commands = [
+    return [
         ("analyze", ["analyze", "--input", matrix] + quiet),
         ("metric", ["metric", "--input", matrix] + quiet),
         ("chain", ["chain", "--input", matrix, "--n-factors", "3", "--out", chain]),
         ("verify", ["verify", "--input", chain] + quiet),
         ("sweep", ["sweep", "--dim", "2", "--range-lo", "0", "--range-hi", "2"] + quiet),
         ("evolve", ["evolve", "--input", matrix, "--state", state] + quiet),
+        ("suite", ["suite", "--samples", "3"] + quiet),
     ]
+
+
+def test_no_command_loads_scipy(tmp_path):
+    commands = seven_commands(tmp_path)
     seen = json.loads(fresh_python("-c", RUN_COMMANDS, json.dumps(commands)))
-    assert seen == {
-        "analyze": [0, False],
-        "metric": [0, False],
-        "chain": [0, False],
-        "verify": [0, False],
-        "sweep": [0, False],
-        "evolve": [0, True],
-    }
+    assert seen == {name: [0, False] for name, _ in commands}
+
+
+def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path):
+    # a None entry in sys.modules makes every ``import scipy...`` raise ImportError
+    commands = seven_commands(tmp_path)
+    blocked = 'import sys; sys.modules["scipy"] = None\n' + RUN_COMMANDS
+    seen = json.loads(fresh_python("-c", blocked, json.dumps(commands)))
+    assert {name: code for name, (code, _) in seen.items()} == {name: 0 for name, _ in commands}

@@ -61,6 +61,13 @@ def test_symmetrization_has_exactly_zero_defect(seed):
     assert mc.hermitian_defect(A + A.conj().T) == 0.0
 
 
+def test_defect_beyond_the_range_reads_inf():
+    # A - A^dagger has entries 3.4e308; the defect is found on the scaled copy, quietly
+    A = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])
+    assert mc.hermitian_defect(A) == np.inf
+    assert mc.hermitian_defect(2.0**-1000 * A) == 2.0**-999 * 1.7e308
+
+
 def test_defect_rejects_rectangular():
     with pytest.raises(DimensionMismatch):
         mc.hermitian_defect(np.ones((2, 3)))
@@ -454,23 +461,101 @@ def test_exp_overflow_raises_typed_error():
         mc.mat_exp(np.diag([1000.0, 0.0]))
 
 
-def test_exp_looks_up_scipy_expm_on_every_call(monkeypatch):
-    # the benchmark tracer counts Pade evaluations by patching this attribute
-    import scipy.linalg
+def test_exp_of_zero_is_exactly_identity():
+    np.testing.assert_array_equal(mc.mat_exp(np.zeros((3, 3))), np.eye(3))
 
-    calls = []
-    expm = scipy.linalg.expm
 
-    def counting(A):
-        calls.append(A)
-        return expm(A)
+@pytest.mark.parametrize("lam", [-3.0, 0.5, 2.0 + 1.5j, 1e-3j])
+def test_exp_jordan_block(lam):
+    got = mc.mat_exp([[lam, 1.0], [0.0, lam]])
+    want = np.exp(lam) * np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert mc.rel_residual(got - want, want) <= 1e-15
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting)
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    for n in range(1, 4):
-        E = mc.mat_exp(A)
-        assert len(calls) == n
-    np.testing.assert_array_equal(E, expm(calls[-1]))
+
+@pytest.mark.parametrize("c", [1e-3, 0.7, 4.0, 150.0])
+def test_exp_nilpotent_shift_is_its_cubic(c):
+    N = c * np.eye(4, k=1)
+    want = np.eye(4) + N + N @ N / 2.0 + N @ N @ N / 6.0
+    assert mc.rel_residual(mc.mat_exp(N) - want, want) <= 1e-14
+
+
+#: sigma_y; ``exp(-i theta sigma_y)`` is the rotation by theta
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+
+
+@pytest.mark.parametrize("theta, degree, squarings", [
+    (1e-2, 3, 0), (0.2, 5, 0), (0.9, 7, 0), (2.0, 9, 0), (5.0, 13, 0), (40.0, 13, 3),
+])
+def test_exp_rotation_at_each_pade_degree(theta, degree, squarings):
+    A = -1j * theta * SIGMA_Y
+    assert mc._pade_plan(A)[:2] == (degree, squarings)
+    rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    assert np.abs(mc.mat_exp(A) - rotation).max() <= 4e-16 * max(1.0, theta)
+
+
+def test_exp_plan_scales_exactly_beyond_the_range():
+    # ||A||_1 = 3.4e308 = 2**1024.92 is beyond the float range, theta_13 = 2**2.43
+    m, s, X = mc._pade_plan(-1j * 1.7e308 * np.ones((2, 2)))
+    assert (m, s) == (13, 1023)
+    np.testing.assert_array_equal(X, -1j * np.ldexp(1.7e308, -1023) * np.ones((2, 2)))
+    assert mc._PADE_THETA[13] / 2 < mc._norm1(X) <= mc._PADE_THETA[13]
+
+
+def test_exp_tiny_input_is_identity_plus_input():
+    A = 1e-300 * np.array([[1.0, 2.0], [-0.5, 0.3j]])
+    np.testing.assert_allclose(mc.mat_exp(A), np.eye(2) + A, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("A", [
+    1.7e308 * np.eye(2),
+    1e300 * random_complex(np.random.default_rng(32), 32) / 32.0,
+], ids=["max float", "d=32 at 1e300"])
+def test_exp_beyond_the_range_raises_exponential_overflow(A):
+    # pytest turns a RuntimeWarning into an error, so none escapes either
+    with pytest.raises(ExponentialOverflow):
+        mc.mat_exp(A)
+
+
+def test_exp_of_unresolved_phase_is_finite_or_typed():
+    # exp is unitary, but 1023 squarings of its rounding leave no digit of it:
+    # what comes back is finite noise or ExponentialOverflow, never another error
+    try:
+        E = mc.mat_exp(-1j * 1.7e308 * np.ones((2, 2)))
+    except ExponentialOverflow:
+        return
+    assert np.isfinite(E).all()
+
+
+def test_exp_of_max_float_decay_is_zero():
+    np.testing.assert_array_equal(mc.mat_exp(-1.7e308 * np.eye(2)), np.zeros((2, 2)))
+
+
+@st.composite
+def exponential_inputs(draw):
+    """``-i random_qh`` or a complex Gaussian at ``||A||_1 <= 100``, or
+    ``-i t pt_chain`` at its exceptional point with ``t <= 10``.
+
+    Beyond these sizes the exponential's condition number, not either
+    algorithm, sets the distance: at ``||A||_1 ~ 1e3`` both this routine and
+    scipy's miss a 50-digit reference by about 1e-12.
+    """
+    kind = draw(st.sampled_from(["qh", "gaussian", "ep"]))
+    dim = draw(st.integers(1 + (kind != "gaussian"), 32))
+    size = draw(st.floats(0.0, 1.0))
+    if kind == "ep":
+        return -10j * size * pt_chain(dim, 1.0)
+    seed = draw(st.integers(0, 2**16))
+    G = -1j * random_qh(dim, seed)[0] if kind == "qh" else random_complex(
+        np.random.default_rng(seed), dim)
+    return 100.0 * size * G / mc._norm1(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponential_inputs())
+def test_exp_matches_scipy_expm(A):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    want = scipy_linalg.expm(A)
+    assert mc.rel_residual(mc.mat_exp(A) - want, want) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", RNG_SEEDS)
