@@ -14,13 +14,17 @@ Every solve cross-checks, in O(dim^3), the left eigenvectors of H (rows of
 the inverted right basis from ``matrixcore.eig``) against the right
 eigenvectors of ``H^dagger`` from a separate eigensolve, matched by sorted
 conjugate eigenvalue and compared against the span of their cluster; no
-O(dim^6) null space of the dim^2-parameter real system is ever built.
+O(dim^6) null space of the dim^2-parameter real system is ever built.  A
+caller that already holds H's ``matrixcore.eig`` passes it as ``spectral``
+and the solve skips its own: ``models.sweep_exceptional`` decomposes each
+real grid point once, on its unit-scaled copy.  The cross-check runs either
+way.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,7 +112,7 @@ def _eigensolve_disagreement(
     return max(vectors, drift / scale if drift else 0.0)
 
 
-def solve_metric_space(H, tol: float = SOLVE_TOL) -> MetricFamily:
+def solve_metric_space(H, tol: float = SOLVE_TOL, spectral=None) -> MetricFamily:
     """Compute the Hermitian solution family of ``H^dagger X = X H``.
 
     Parameters
@@ -119,6 +123,14 @@ def solve_metric_space(H, tol: float = SOLVE_TOL) -> MetricFamily:
         Relative threshold of the spectral-reality precondition alone (BadRange
         unless positive and finite); clusters start at gaps above
         ``CLUSTER_RTOL * ||H||``.
+    spectral : matrixcore.SpectralData, optional
+        ``matrixcore.eig(H)``, used in place of the solve's own eigensolve;
+        the eigenvalues are scaled by the power of four the solve scales H
+        by, so the result is the same bit for bit wherever ``eig`` commutes
+        with that scaling, and always on an H that is unit-scaled.  The
+        reality test, the clustering and the ``eig(H^dagger)`` cross-check run,
+        so spectral data of another matrix raises SpanMismatch (of another
+        size, DimensionMismatch).
 
     Returns
     -------
@@ -143,8 +155,13 @@ def solve_metric_space(H, tol: float = SOLVE_TOL) -> MetricFamily:
     Hm, e = mc._unit_scaled(mc.as_square_matrix(H, "H"))
     tol = mc.as_tolerance(tol)
     scale = mc.fro(Hm)
-
-    spectral = mc.eig(Hm)
+    if spectral is None:
+        spectral = mc.eig(Hm)
+    elif spectral.left_vectors.shape != Hm.shape:
+        raise DimensionMismatch(f"spectral data of shape {spectral.left_vectors.shape} "
+                                f"for H of shape {Hm.shape}")
+    else:
+        spectral = replace(spectral, eigenvalues=mc._ldexp(spectral.eigenvalues, e))
     max_imag, imag_ratio = mc.spectrum_imag(spectral.eigenvalues, scale)
     if not imag_ratio <= tol:
         max_imag = mc._ldexp(max_imag, -e)
@@ -167,8 +184,7 @@ def solve_metric_space(H, tol: float = SOLVE_TOL) -> MetricFamily:
     )
     if not residual <= SPAN_AGREEMENT_TOL:
         raise SpanMismatch(f"eigensolves of H and H^dagger disagree by {residual:.3e}")
-    spectral = mc.SpectralData(mc._ldexp(spectral.eigenvalues, -e), spectral.right_vectors,
-                               spectral.left_vectors, spectral.condition_estimate)
+    spectral = replace(spectral, eigenvalues=mc._ldexp(spectral.eigenvalues, -e))
     return MetricFamily(tuple(cluster_sizes.tolist()), spectral, residual)
 
 

@@ -36,7 +36,6 @@ factors satisfy Z_4 = M_3, Z_4 Z_3 = M_2, Z_4 Z_3 Z_2 = M_1, Z_4 Z_3 Z_2 Z_1 = T
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -117,10 +116,12 @@ class ObservableChain:
 
     def _products(self, factors, step) -> list[np.ndarray]:
         """The identity and its running ``step`` products with ``factors``."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            products = list(accumulate(factors, step, initial=np.eye(self.dim, dtype=complex)))
-        if not np.isfinite(products).all():
-            raise FactorizationMismatch("a product of the chain factors overflows")
+        products = [np.eye(self.dim, dtype=complex)]
+        with np.errstate(over="ignore", invalid="ignore"):  # for _product
+            for Z in factors:
+                products.append(step(products[-1], Z))
+                if not np.isfinite(products[-1]).all():
+                    raise FactorizationMismatch("a product of the chain factors overflows")
         return products
 
     def suffix_products(self) -> list[np.ndarray]:
@@ -129,7 +130,7 @@ class ObservableChain:
         S_0 is the full recomposed metric and S_{N-1} = Z_N; for a valid
         chain S_k coincides with the parameter M_k (with M_0 = Theta).
         """
-        return self._products(reversed(self.factors), np.matmul)[:0:-1]
+        return self._products(reversed(self.factors), _product)[:0:-1]
 
     def prefix_products(self) -> list[np.ndarray]:
         """Prefix products P_k = Z_k ... Z_1 for k = 1 ... N, P_k at index k - 1.
@@ -137,7 +138,7 @@ class ObservableChain:
         P_N is the full recomposed metric; for a valid chain P_k coincides
         with the observable Lambda_k.
         """
-        return self._products(self.factors, lambda P, Z: Z @ P)[1:]
+        return self._products(self.factors, lambda P, Z: _product(Z, P))[1:]
 
     def to_json(self) -> dict:
         return {
@@ -164,19 +165,34 @@ class ObservableChain:
         return ObservableChain(N, dim, observables, factors)
 
 
+def _scaled_product(A, B) -> np.ndarray:
+    """``A @ B`` on the ``_unit_scaled`` copies, scaled back through the quiet
+    ``_ldexp``: no partial sum overflows where the product itself is in range,
+    and a product beyond the range reads inf."""
+    (S, e), (T, f) = mc._unit_scaled(A), mc._unit_scaled(B)
+    return mc._ldexp(S @ T, -e - f)
+
+
+def _product(A, B) -> np.ndarray:
+    """``A @ B``, taken again by ``_scaled_product`` where a partial sum
+    overflowed.  Callers run it under ``np.errstate(over="ignore",
+    invalid="ignore")``, which keeps the overflow of the first try quiet."""
+    P = A @ B
+    return P if np.isfinite(P).all() else _scaled_product(A, B)
+
+
 def lemma1_observable(M, Theta) -> np.ndarray:
     """Eligible observable ``Lambda = M Theta`` for Hermitian M.
 
     Hermiticity of M is the whole requirement: the product is then
     automatically quasi-Hermitian with respect to Theta, which this function
-    re-checks after the fact.  The product is taken on the ``_unit_scaled``
-    copies, so no partial sum overflows where the product itself is in range.
+    re-checks after the fact.  The product is taken by ``_scaled_product``;
+    beyond the float range it reads inf and is refused.
     """
     Mm, Tm = mc.square_pair(M, Theta, "M", "Theta")
     mc.require_hermitian(Mm, "observable parameter", NotHermitianParameter)
     mc.require_positive_metric(Tm)
-    (S, e), (T, f) = mc._unit_scaled(Mm), mc._unit_scaled(Tm)
-    Lam = mc._ldexp(S @ T, -e - f)  # beyond the float range: inf, refused below
+    Lam = _scaled_product(Mm, Tm)
     require_quasi_hermitian(Lam, Tm, "post-hoc check of M Theta")
     return Lam
 
@@ -307,10 +323,11 @@ def verify_theorem1(chain: ObservableChain, tol: float) -> VerificationReport:
         relations.append(_rel(f"qh[Lambda_{k}]", check_quasi_hermitian(Lam, Theta), tol))
         relations.append(_rel(f"product[Lambda_{k}]", mc.rel_residual(Lam - P, Lam), tol))
 
-    for k, (Lam, S) in enumerate(zip(chain.observables, chain.suffix_products())):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the relation
-            residual = mc.rel_residual(Lam.conj().T @ S - Theta, Theta)
-        relations.append(_rel(f"metric-identity[k={k}]", residual, tol))
+    with np.errstate(over="ignore", invalid="ignore"):  # for _product
+        for k, (Lam, S) in enumerate(zip(chain.observables, chain.suffix_products())):
+            # a product beyond the float range reads inf and fails the relation
+            residual = mc.rel_residual(_product(Lam.conj().T, S) - Theta, Theta)
+            relations.append(_rel(f"metric-identity[k={k}]", residual, tol))
 
     return VerificationReport(tuple(relations), float(tol))
 

@@ -241,42 +241,55 @@ class SweepResult:
         return mc.csv_text(["parameter", "reality", "positivity"], rows)
 
 
-def _reality_flags(H, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reality_flags(H, tol: float) -> tuple[np.ndarray, np.ndarray, list, list]:
     """``spectral_reality``'s flag for each matrix of a ``(k, d, d)`` stack,
-    False where the matrix is defective, with the eigenvalues and ``fro``."""
-    w, _, _, _, defective = mc.eig_stack(H)
-    scale = np.array([mc.fro(h) for h in H])
+    False where the matrix is defective, found as ``spectral_reality`` finds
+    it: on the ``_unit_scaled`` copy ``S = 2**e * H`` of each member.
+
+    Returns the flags, the stack of copies S, each member's end
+    ``(eigenvalues, fro, e)`` of S for the refinement, and each member's
+    ``SpectralData`` of S (None where it is defective).
+    """
+    S, e = mc._unit_scaled(H, axis=(-2, -1))
+    w, R, L, overlap, defective = mc.eig_stack(S)
+    scale = np.array([mc.fro(s) for s in S])
     _, ratio = mc.spectrum_imag(w, scale)
-    return ~defective & (ratio <= tol), w, scale
+    spectral = [None if bad else mc.SpectralData(*data, float(1.0 / o))
+                for *data, o, bad in zip(w, R, L, overlap, defective)]
+    return ~defective & (ratio <= tol), S, list(zip(w, scale, e.ravel().tolist())), spectral
 
 
-def _positive_phase(H, tol: float) -> bool:
+def _positive_phase(S, tol: float, spectral: mc.SpectralData) -> bool:
     """Positivity of the all-ones spectral metric of a real-phase matrix.
 
-    ``_reality_flags`` flagged H real and not defective on ``mc.eig``'s own bits
-    at the solve's own ``tol``, so the solve can refuse it only by SpanMismatch.
+    ``_reality_flags`` flagged the unit-scaled S real and not defective on
+    ``spectral``, its ``mc.eig`` bit for bit, at the solve's own ``tol``, so
+    the solve can refuse it only by SpanMismatch.
     """
     try:
-        family = solve_metric_space(H, tol=tol)
+        family = solve_metric_space(S, tol=tol, spectral=spectral)
     except SpanMismatch:
         return False
     theta = metric_from_weights(family, family.kappa_default)
     positive, _ = mc.is_positive_definite(theta)
-    return bool(positive and check_quasi_hermitian(H, theta) <= QH_GATE)
+    return bool(positive and check_quasi_hermitian(S, theta) <= QH_GATE)
 
 
-def _squared_splitting(w, scale: float, centre: float) -> float | None:
+def _squared_splitting(end, centre) -> float | None:
     """``Re(((l+ - l-) / scale)**2)`` of the two eigenvalues nearest ``centre``.
 
-    ``w`` is the spectrum of a matrix of Frobenius norm ``scale``, so the
-    value is scale-free.  None unless the pair exists and is isolated: its
-    splitting lies below its distance to the third-nearest eigenvalue
-    (infinite at d = 2).  A value within ``eps`` of zero, its rounding
-    level, reads 0.0.
+    ``end`` is ``(w, scale, e)``: the spectrum and the Frobenius norm of a
+    matrix scaled by ``2**e``, so the value is scale-free.  ``centre`` is
+    ``(c, f)``, a point in the unit of a matrix scaled by ``2**f``, moved
+    into the end's unit by the exact factor ``2**(e - f)``.  None unless the
+    pair exists and is isolated: its splitting lies below its distance to
+    the third-nearest eigenvalue (infinite at d = 2).  A value within
+    ``eps`` of zero, its rounding level, reads 0.0.
     """
+    w, scale, e = end
     if len(w) < 2:
         return None
-    near = w[np.argsort(np.abs(w - centre))]
+    near = w[np.argsort(np.abs(w - mc._ldexp(centre[0], e - centre[1])))]
     split = near[0] - near[1]
     gap = np.abs(near[2] - near[:2]).min() if len(near) > 2 else np.inf
     if not abs(split) < gap:  # also refuses a NaN or infinite splitting
@@ -288,8 +301,9 @@ def _squared_splitting(w, scale: float, centre: float) -> float | None:
 def _coalescing_pair(end_a, end_b):
     """``(centre, f(a), f(b))`` for the root-find, or None while it cannot start.
 
-    Each end is ``(eigenvalues, fro)``.  The pair is the two eigenvalues
-    nearest the real part of the broken end's most complex eigenvalue; the
+    Each end is ``(eigenvalues, fro, e)`` of its matrix scaled by ``2**e``.
+    The pair is the two eigenvalues nearest the real part of the broken
+    end's most complex eigenvalue, kept in that end's unit; the
     root-find needs it isolated at both ends and ``f = _squared_splitting``
     zero at either end, or else positive at the real end and negative at
     the broken end, where the pair must be complex conjugates, as it is past
@@ -297,9 +311,9 @@ def _coalescing_pair(end_a, end_b):
     """
     wb = end_b[0]
     k = np.argmax(np.abs(wb.imag))
-    centre = float(wb[k].real)
-    fa = _squared_splitting(*end_a, centre)
-    fb = _squared_splitting(*end_b, centre)
+    centre = float(wb[k].real), end_b[2]
+    fa = _squared_splitting(end_a, centre)
+    fb = _squared_splitting(end_b, centre)
     if fa is None or fb is None:
         return None
     conjugate = np.abs(wb - wb[k].conj()).min() < abs(wb[k].imag)
@@ -334,8 +348,9 @@ def _refine(family, a: float, b: float, end_a, end_b, tol: float):
     the parameter and changes sign, so Illinois regula falsi on it reaches
     the crossing to rounding.  While ``_coalescing_pair`` refuses the
     bracket, or once the pair is lost, the reality flag is bisected at
-    ``_bisection_point`` instead.  Each end is ``(eigenvalues, fro)`` of its
-    matrix.  Returns ``(estimate, method, evaluations)``.
+    ``_bisection_point`` instead.  Each end is ``(eigenvalues, fro, e)`` of
+    its matrix scaled by ``2**e``, and so is each probe.  Returns
+    ``(estimate, method, evaluations)``.
     """
     method, evaluations, side = "bisection", 0, 0
     pair = _coalescing_pair(end_a, end_b)
@@ -343,12 +358,12 @@ def _refine(family, a: float, b: float, end_a, end_b, tol: float):
         if pair is None:
             method = "bisection"
             m = _bisection_point(a, b)
-            real, w, scale = _reality_flags(family(m)[None], tol)
+            real, _, (end_m,), _ = _reality_flags(family(m)[None], tol)
             evaluations += 1
             if real[0]:
-                a, end_a = m, (w[0], scale[0])
+                a, end_a = m, end_m
             else:
-                b, end_b = m, (w[0], scale[0])
+                b, end_b = m, end_m
             pair = _coalescing_pair(end_a, end_b)
             continue
         method = "root"
@@ -358,10 +373,10 @@ def _refine(family, a: float, b: float, end_a, end_b, tol: float):
         c = b - (b - a) * (fb / (fb - fa))
         if not a < c < b:
             c = a + 0.5 * (b - a)
-        Hc = family(c)
-        end_c = np.linalg.eigvals(Hc), mc.fro(Hc)
+        Sc, ec = mc._unit_scaled(family(c))
+        end_c = np.linalg.eigvals(Sc), mc.fro(Sc), int(ec)
         evaluations += 1
-        fc = _squared_splitting(*end_c, centre)
+        fc = _squared_splitting(end_c, centre)
         if fc is None:
             pair = None
         elif fc == 0.0:
@@ -384,7 +399,11 @@ def sweep_exceptional(
     A uniform grid of ``samples`` points is flagged for spectral reality
     (from stacked eigendecompositions; a defective point reads False) and,
     at the real points, for positivity of the all-ones-weight spectral
-    metric.  When reality holds at ``lo`` and fails at ``hi``, the first
+    metric.  Each grid point is decomposed once, on its ``_unit_scaled``
+    copy, and the metric solve of a real point takes that decomposition, so
+    no flag depends on the family's scale, also where ``||H||`` is beyond
+    the float range; the refinement probes unit-scaled copies too.  When
+    reality holds at ``lo`` and fails at ``hi``, the first
     flip cell of the grid is narrowed by ``_refine``: a root-find on the
     squared splitting of the coalescing eigenvalue pair, with bisection of
     the reality flag as its fallback.  Both stop once the bracket is within
@@ -413,10 +432,11 @@ def sweep_exceptional(
     reality, positivity, ends = [], [], []
     for start in range(0, len(grid), _STACK):
         H = np.stack([member(float(x)) for x in grid[start:start + _STACK]])
-        real, w, scale = _reality_flags(H, tol)
+        real, S, chunk_ends, spectral = _reality_flags(H, tol)
         reality += real.tolist()
-        positivity += [r and _positive_phase(h, tol) for r, h in zip(reality[start:], H)]
-        ends += zip(w, scale)
+        positivity += [r and _positive_phase(s, tol, sd)
+                       for r, s, sd in zip(reality[start:], S, spectral)]
+        ends += chunk_ends
 
     critical, method, evaluations = None, None, 0
     if reality[0] and not reality[-1]:

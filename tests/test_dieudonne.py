@@ -228,6 +228,55 @@ def test_corrupted_left_vector_raises_span_mismatch(monkeypatch):
         solve_metric_space(H)
 
 
+def assert_same_family(got, want):
+    """Every field of two metric families, bit for bit."""
+    assert got.cluster_sizes == want.cluster_sizes
+    assert got.span_residual == want.span_residual
+    for field in dataclasses.fields(got.spectral):
+        assert np.asarray(getattr(got.spectral, field.name)).tobytes() == \
+            np.asarray(getattr(want.spectral, field.name)).tobytes(), field.name
+
+
+@st.composite
+def real_phase_hamiltonians(draw):
+    """``(kind, H)``: random_qh (d <= 16), pt_chain in its real phase, or a
+    similarity transform of a spectrum with a repeated level.  No entry is
+    tiny: near the subnormal range ``eig`` of H and of its unit-scaled copy
+    differ in the last bits (pt_chain(4, 1e-300) does)."""
+    kind = draw(st.sampled_from(["random", "chain", "cluster"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "random":
+        return kind, random_qh(draw(st.integers(2, 16)), seed)[0]
+    if kind == "chain":
+        return kind, pt_chain(draw(st.integers(2, 16)), draw(st.floats(1e-6, 0.95) | st.just(0.0)))
+    multiplicities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)
+                          .filter(lambda m: max(m) > 1))
+    levels = np.cumsum(np.random.default_rng(seed).uniform(0.5, 1.5, size=len(multiplicities)))
+    return kind, similar_to_diagonal(np.repeat(levels, multiplicities), seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(real_phase_hamiltonians())
+def test_solve_on_its_own_spectral_data_gives_the_same_bits(case):
+    kind, H = case
+    families, warned = [], []
+    for spectral in (None, mc.eig(H)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegenerateSpectrumWarning)
+            families.append(solve_metric_space(H, spectral=spectral))
+        warned.append([w.category for w in caught])
+    assert warned[0] == warned[1] == ([DegenerateSpectrumWarning] if kind == "cluster" else [])
+    assert_same_family(families[1], families[0])
+
+
+def test_spectral_data_of_another_matrix_is_refused():
+    H = random_qh(5, 82)[0]
+    with pytest.raises(SpanMismatch):
+        solve_metric_space(H, spectral=mc.eig(random_qh(5, 83)[0]))
+    with pytest.raises(DimensionMismatch):
+        solve_metric_space(H, spectral=mc.eig(random_qh(4, 82)[0]))
+
+
 @pytest.mark.parametrize("dim", [4, 8, 16, 32])
 def test_eigensolves_agree_near_the_exceptional_point(dim):
     for gamma in (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -334,15 +335,19 @@ def test_overflowing_factor_products_are_a_factorization_mismatch():
 
 
 def test_an_overflowing_metric_identity_fails_quietly():
-    # the factor products stay finite; Lambda_0^dagger times the longest one does not
+    # the factor products stay finite; Lambda_0^dagger times the longest one
+    # lies beyond the float range and reads inf, with no RuntimeWarning
     chain = toy_chain()
     huge = ObservableChain(
         chain.N, chain.dim,
         tuple(1e150 * L for L in chain.observables), tuple(1e150 * Z for Z in chain.factors),
     )
-    report = verify_theorem1(huge, 1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = verify_theorem1(huge, 1e-9)
     assert {"metric-identity[k=0]", "metric-identity[k=1]"} <= set(report.failed())
-    assert np.isnan(report.residual("metric-identity[k=0]"))
+    assert report.residual("metric-identity[k=0]") == np.inf
+    assert not np.isnan([r.residual for r in report.relations]).any()
 
 
 def test_nonhermitian_last_factor_fails_hermiticity_relation():

@@ -5,12 +5,18 @@ from hypothesis import strategies as st
 
 from quasiherm import matrixcore as mc
 from quasiherm import models
-from quasiherm.dieudonne import check_quasi_hermitian
+from quasiherm.dieudonne import (
+    QH_GATE,
+    check_quasi_hermitian,
+    metric_from_weights,
+    solve_metric_space,
+)
 from quasiherm.errors import (
     BadDimension,
     BadRange,
     DefectiveMatrix,
     DimensionMismatch,
+    SpanMismatch,
     ZeroParameter,
 )
 from quasiherm.models import (
@@ -297,6 +303,17 @@ def looped_real_phase(H, tol):
         return False
 
 
+def looped_positive_phase(H, tol):
+    """The positivity probe the sweep once ran per real matrix, on the matrix
+    as given and with the solve's own eigensolve."""
+    try:
+        family = solve_metric_space(H, tol)
+    except SpanMismatch:
+        return False
+    theta = metric_from_weights(family, family.kappa_default)
+    return bool(mc.is_positive_definite(theta)[0] and check_quasi_hermitian(H, theta) <= QH_GATE)
+
+
 @st.composite
 def sweep_stacks(draw):
     """pt_chain grids (d = 2..32, gamma = 1 included) and random_qh stacks."""
@@ -308,16 +325,24 @@ def sweep_stacks(draw):
     return [random_qh(min(d, 12), seed)[0] for seed in seeds]
 
 
+@pytest.mark.filterwarnings("ignore::quasiherm.errors.DegenerateSpectrumWarning")
 @settings(max_examples=60, deadline=None)
 @given(sweep_stacks(), st.sampled_from([1e-12, 1e-9, 1e-6]))
 def test_stacked_reality_flags_match_the_looped_probe(stack, tol):
-    flags, _, _ = models._reality_flags(np.stack(stack), tol)
-    assert flags.tolist() == [looped_real_phase(H, tol) for H in stack]
+    # positivity as the sweep finds it: on the unit-scaled copies and their stacked eig
+    flags, S, _, spectral = models._reality_flags(np.stack(stack), tol)
+    real = [looped_real_phase(H, tol) for H in stack]
+    assert flags.tolist() == real
+    positivity = [r and models._positive_phase(s, tol, sd) for r, s, sd in zip(real, S, spectral)]
+    assert positivity == [r and looped_positive_phase(H, tol) for r, H in zip(real, stack)]
 
 
 def test_reality_flag_of_the_two_site_exceptional_point_is_false():
-    flags, _, _ = models._reality_flags(np.stack([pt_chain(2, 0.5), pt_chain(2, 1.0)]), 1e-9)
+    flags, _, _, spectral = models._reality_flags(
+        np.stack([pt_chain(2, 0.5), pt_chain(2, 1.0)]), 1e-9
+    )
     assert flags.tolist() == [True, False]
+    assert spectral[1] is None
     with pytest.raises(DefectiveMatrix):
         spectral_reality(pt_chain(2, 1.0), 1e-9)
 

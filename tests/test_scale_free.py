@@ -12,7 +12,7 @@ outputs limit it: an output is compared where its own scaling is exact.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasiherm import matrixcore as mc
@@ -256,11 +256,13 @@ def test_check_pt_symmetry(data, seed, dim, symmetric):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(-1021, 1022), st.integers(2, 4))
+@given(st.integers(-1021, 1022), st.sampled_from([2, 3, 4, 8]))
+@example(k=1022, dim=8)
 def test_sweep_exceptional(k, dim):
     # The grid holds the exceptional point of the even chains at 1.  The range
     # is where 2**k * pt_chain(dim, g) is exact for every g in [1/2, 2], the
-    # parameters that the refinement probes at full precision.
+    # parameters that the refinement probes at full precision.  At d = 8 the
+    # Frobenius norm of the top binades is beyond the float range.
     def sweep(k):
         return sweep_exceptional(lambda g: scaled(pt_chain(dim, g), k), 0.0, 2.0, 9)
 
